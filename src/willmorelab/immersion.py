@@ -36,6 +36,7 @@ __all__ = [
     "ShapeData",
     "ShapeBatch",
     "MobiusMap",
+    "PoleError",
     "shape_data",
     "shape_batch",
     "scalar_curvature",
@@ -399,18 +400,17 @@ def _periodic_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
-def _metric_fields(patch: ImmersionPatch, grid: QuadratureGrid, step: float):
-    sb = shape_batch(patch, grid.points(), step=step, use_exact=True)
-    shape = grid.shape
-    n = patch.n
-    g = sb.metric.reshape(shape + (n, n))
-    ginv = np.linalg.inv(g)
-    sg = sb.sqrt_g.reshape(shape)
-    return ginv, sg
+def _metric_fields(sb: ShapeBatch, grid: QuadratureGrid):
+    n = grid.ndim
+    ginv = np.linalg.inv(sb.metric.reshape(grid.shape + (n, n)))
+    return ginv, sb.sqrt_g.reshape(grid.shape)
 
 
-def _laplace_from_fields(f, ginv, sg, spacings):
-    n = len(spacings)
+def _grid_laplacian(sb: ShapeBatch, f: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Laplace-Beltrami of a grid function from the shape batch of the grid's nodes."""
+    ginv, sg = _metric_fields(sb, grid)
+    n = grid.ndim
+    spacings = [grid.spacing(a) for a in range(n)]
     partials = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
     div = np.zeros_like(f)
     for a in range(n):
@@ -446,9 +446,8 @@ def laplace_beltrami(
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    ginv, sg = _metric_fields(patch, grid, step)
-    spacings = [grid.spacing(a) for a in range(grid.ndim)]
-    return _laplace_from_fields(values, ginv, sg, spacings)
+    sb = shape_batch(patch, grid.points(), step=step, use_exact=True)
+    return _grid_laplacian(sb, values, grid)
 
 
 def grid_gradient_pairing(
@@ -464,7 +463,8 @@ def grid_gradient_pairing(
     _require_periodic_grid(patch, grid)
     if fv.shape != grid.shape or gv.shape != grid.shape:
         raise ValueError("grid functions must match the grid shape")
-    ginv, sg = _metric_fields(patch, grid, step)
+    sb = shape_batch(patch, grid.points(), step=step, use_exact=True)
+    ginv, sg = _metric_fields(sb, grid)
     spacings = [grid.spacing(a) for a in range(grid.ndim)]
     df = [_periodic_partial(fv, a, spacings[a]) for a in range(grid.ndim)]
     dg = [_periodic_partial(gv, a, spacings[a]) for a in range(grid.ndim)]
@@ -517,11 +517,15 @@ class MobiusMap:
         return self.pole.shape[0]
 
 
+class PoleError(ValueError):
+    """A conformal image passes too close to the stereographic pole."""
+
+
 def _mobius_point_map(mob: MobiusMap, y: np.ndarray, guard: float) -> np.ndarray:
     align = y @ mob.pole
     closest = np.max(align)
     if closest > 1.0 - guard:
-        raise ValueError("patch image passes too close to the stereographic pole")
+        raise PoleError("patch image passes too close to the stereographic pole")
     denom = 1.0 - align
     w = (y - align[..., None] * mob.pole) / denom[..., None]
     w = mob.dilation * w + mob.translation
@@ -547,7 +551,7 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch, check_samples: int = 6) 
     y = np.asarray(patch.evaluator(probe), dtype=float) @ mob.rotation.T
     worst = np.max(y @ mob.pole)
     if worst > np.cos(POLE_CLEARANCE):
-        raise ValueError(
+        raise PoleError(
             "patch image passes too close to the stereographic pole "
             f"(min spherical distance {np.arccos(min(1.0, worst)):.4f} < {POLE_CLEARANCE})"
         )

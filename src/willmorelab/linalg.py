@@ -4,6 +4,9 @@ Shape operators, normal-space Gram matrices and chart frames all live in
 dimension <= ~10, so everything here is a plain dense computation on top
 of numpy. Values are frozen after construction and every function is
 pure, which keeps the randomized property suites trivially parallel.
+The kernels accept a :class:`SymmetricMatrix` or a plain array, and a
+plain array may stack matrices along leading axes, shape (..., n, n);
+they then return one result per matrix of the stack.
 """
 
 from __future__ import annotations
@@ -17,18 +20,10 @@ __all__ = [
     "OrthogonalFrame",
     "frob_norm_sq",
     "commutator",
-    "gram_schmidt",
     "jacobi_eigen",
 ]
 
 FRAME_TOL = 1e-12
-
-# Residual-norm cutoff below which gram_schmidt declares near linear
-# dependence; for normalized inputs this matches a Gram-determinant
-# threshold of about 1e-10.
-_DEPENDENCE_TOL = 1e-5
-
-_JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -91,101 +86,34 @@ class OrthogonalFrame:
         return self.vectors.shape[0]
 
 
-def frob_norm_sq(a: SymmetricMatrix) -> float:
-    """N(A) = trace(A A^t), the squared Frobenius norm."""
-    return float(np.sum(a.data * a.data))
+def frob_norm_sq(a):
+    """N(A) = trace(A A^t), the squared Frobenius norm.
+
+    A float for one matrix, an array of norms for a stack.
+    """
+    x = np.asarray(a, dtype=float)
+    sq = np.sum(x * x, axis=(-2, -1))
+    return float(sq) if sq.ndim == 0 else sq
 
 
-def commutator(a: SymmetricMatrix, b: SymmetricMatrix) -> np.ndarray:
+def commutator(a, b) -> np.ndarray:
     """AB - BA. The result is antisymmetric, returned as a plain array."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return a.data @ b.data - b.data @ a.data
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    return x @ y - y @ x
 
 
-def gram_schmidt(vectors) -> OrthogonalFrame:
-    """Orthonormalize a sequence of ambient vectors, preserving order.
+def jacobi_eigen(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix or a stack of them.
 
-    The first output vector is ``vectors[0]`` normalized. Raises
-    ``ValueError`` naming the first vector whose component orthogonal to
-    the span of its predecessors is too small to normalize reliably.
+    LAPACK ``eigh`` reads the upper triangle, the source of truth of
+    :class:`SymmetricMatrix`. Returns ``(eigenvalues, Q)`` with the
+    eigenvalues sorted descending along the last axis (a stable sort, so
+    ties keep LAPACK's order) and the columns of Q the matching
+    eigenvectors.
     """
-    vs = np.asarray(vectors, dtype=float)
-    if vs.ndim != 2 or vs.shape[0] < 1:
-        raise ValueError("expected a nonempty 2-d array of row vectors")
-    if vs.shape[0] > vs.shape[1]:
-        raise ValueError("more vectors than ambient dimensions")
-    out = np.zeros_like(vs)
-    for i, v in enumerate(vs):
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            raise ValueError(f"vector {i} is zero")
-        w = v / norm0
-        # Two projection passes: classical Gram-Schmidt plus one
-        # re-orthogonalization sweep for numerical safety.
-        for _ in range(2):
-            w = w - out[:i].T @ (out[:i] @ w)
-        res = np.linalg.norm(w)
-        if res <= _DEPENDENCE_TOL:
-            raise ValueError(
-                f"vector {i} is numerically dependent on its predecessors "
-                f"(residual norm {res:.3e})"
-            )
-        out[i] = w / res
-    return OrthogonalFrame(out)
-
-
-def jacobi_eigen(a: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps run row-cyclic over the strict upper triangle until the
-    off-diagonal Frobenius norm falls below 1e-14 * (1 + N(A)), with a
-    hard cap of 100 sweeps. Returns ``(eigenvalues, Q)`` with eigenvalues
-    sorted descending (ties keep ascending original pivot order) and the
-    columns of Q the matching eigenvectors.
-    """
-    A = np.array(a.data)
-    n = a.dim
-    Q = np.eye(n)
-    threshold = 1e-14 * (1.0 + float(np.sum(A * A)))
-
-    def off_norm(mat: np.ndarray) -> float:
-        stripped = mat - np.diag(np.diag(mat))
-        return float(np.sqrt(np.sum(stripped * stripped)))
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if off_norm(A) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    # Asymptotic tangent; keeps theta*theta from overflowing.
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                qp, qq = Q[:, p].copy(), Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-    if not converged and off_norm(A) > threshold:
-        raise RuntimeError(
-            f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-    lam = np.diag(A).copy()
-    order = np.lexsort((np.arange(n), -lam))
-    return lam[order], Q[:, order].copy()
+    lam, q = np.linalg.eigh(np.asarray(a, dtype=float), UPLO="U")
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    return np.take_along_axis(lam, order, -1), np.take_along_axis(q, order[..., None, :], -1)

@@ -11,6 +11,12 @@ the classifier in :mod:`willmorelab.willmore`:
   where sigma_ab = <A_a, A_b> and rho^2 = trace(sigma). Both double sums
   run over ordered index pairs.
 
+The inequality kernels take the validating containers below or plain
+arrays, and plain arrays may stack many trials along leading axes, so a
+property suite checks a whole group of same-shaped trials in one call.
+The random draws return plain arrays: they are symmetric and trace-free
+by construction.
+
 Randomness used by the property suites flows through :func:`trial_rng`
 so that every trial is reproducible from (seed, trial index) alone.
 """
@@ -183,10 +189,12 @@ def traceless_part(family: ShapeFamily) -> tuple[TraceFreeFamily, SigmaMatrix]:
     return TraceFreeFamily(family.n, family.p, mats), SigmaMatrix(sigma)
 
 
-def check_chern_inequality(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
-    """Slack 2 N(A) N(B) - N(AB - BA); nonnegative for symmetric inputs."""
-    c = commutator(a, b)
-    return 2.0 * frob_norm_sq(a) * frob_norm_sq(b) - float(np.sum(c * c))
+def check_chern_inequality(a, b):
+    """Slack 2 N(A) N(B) - N(AB - BA); nonnegative for symmetric inputs.
+
+    A float for one pair, an array of slacks for stacks of pairs.
+    """
+    return 2.0 * frob_norm_sq(a) * frob_norm_sq(b) - frob_norm_sq(commutator(a, b))
 
 
 def canonical_pair(dim: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
@@ -207,57 +215,68 @@ def canonical_pair(dim: int) -> tuple[SymmetricMatrix, SymmetricMatrix]:
     return SymmetricMatrix(a), SymmetricMatrix(b)
 
 
-def equality_witness(
-    a: SymmetricMatrix, b: SymmetricMatrix, tol: float = 1e-9
-) -> tuple[np.ndarray, float, float] | None:
+def equality_witness(a, b, tol: float = 1e-9):
     """Try to exhibit the rigid form of an equality pair.
 
     For a pair saturating the pairwise commutator bound there is an
     orthogonal T with T^t A T = lam * A0 and T^t B T = mu * B0, where
     (A0, B0) is :func:`canonical_pair`. T is built from the
     eigendecomposition of B (the two extreme eigenvectors lead), the
-    scalars are read off the conjugated matrices, and the witness is
-    accepted only if both reconstruction residuals are <= tol in
-    Frobenius norm. Returns ``(T, lam, mu)`` or ``None``.
+    scalars are read off the conjugated matrices, and the residual is
+    the larger of the two reconstruction errors in Frobenius norm.
+
+    For one pair, returns ``(T, lam, mu)`` if the residual is <= tol and
+    ``None`` otherwise. For stacks of pairs (leading trial axes) nothing
+    is filtered: returns the arrays ``(T, lam, mu, residual)``.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.dim < 2:
+    x = np.asarray(a, dtype=float)
+    y = np.asarray(b, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    n = x.shape[-1]
+    if n < 2:
         raise ValueError("witness search needs dimension >= 2")
-    if frob_norm_sq(a) == 0.0 or frob_norm_sq(b) == 0.0:
+    if np.any(frob_norm_sq(x) == 0.0) or np.any(frob_norm_sq(y) == 0.0):
         raise ValueError("witness search needs nonzero matrices")
-    n = a.dim
-    _, q = jacobi_eigen(b)
-    order = [0, n - 1] + list(range(1, n - 1))
-    t = q[:, order]
-    at = t.T @ a.data @ t
-    bt = t.T @ b.data @ t
-    lam = float(at[0, 1])
-    mu = float(bt[0, 0])
+    _, q = jacobi_eigen(y)
+    t = q[..., [0, n - 1] + list(range(1, n - 1))]
+    tt = np.swapaxes(t, -1, -2)
+    at = tt @ x @ t
+    bt = tt @ y @ t
+    lam = at[..., 0, 1]
+    mu = bt[..., 0, 0]
     a0, b0 = canonical_pair(n)
-    res_a = float(np.linalg.norm(at - lam * a0.data))
-    res_b = float(np.linalg.norm(bt - mu * b0.data))
-    if res_a <= tol and res_b <= tol:
-        return t, lam, mu
+    res_a = np.linalg.norm(at - lam[..., None, None] * a0.data, axis=(-2, -1))
+    res_b = np.linalg.norm(bt - mu[..., None, None] * b0.data, axis=(-2, -1))
+    residual = np.maximum(res_a, res_b)
+    if x.ndim > 2:
+        return t, lam, mu, residual
+    if residual <= tol:
+        return t, float(lam), float(mu)
     return None
 
 
-def check_li_inequality(family: TraceFreeFamily) -> float:
+def check_li_inequality(family):
     """Slack of the family bound (3/2) rho^4 - (commutator sum + Gram sum).
 
     Both sums run over ordered pairs (a, b), so off-diagonal terms count
-    twice. Nonnegative for every trace-free family with n >= 2.
+    twice. Nonnegative for every trace-free family with n >= 2. Takes a
+    :class:`TraceFreeFamily` or a (p, n, n) array, and returns a float;
+    a (..., p, n, n) stack of families gives an array of slacks.
     """
-    if family.n < 2:
+    if isinstance(family, TraceFreeFamily):
+        family = family.stacked()
+    tf = np.asarray(family, dtype=float)
+    if tf.shape[-1] < 2:
         raise ValueError("family bound needs dimension >= 2")
-    tf = family.stacked()
-    sigma = np.einsum("aij,bij->ab", tf, tf)
-    rho_sq = float(np.trace(sigma))
-    prod = np.einsum("aij,bjk->abik", tf, tf)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    comm_sum = float(np.sum(comm * comm))
-    gram_sum = float(np.sum(sigma * sigma))
-    return 1.5 * rho_sq * rho_sq - comm_sum - gram_sum
+    sigma = np.einsum("...aij,...bij->...ab", tf, tf)
+    rho_sq = np.trace(sigma, axis1=-2, axis2=-1)
+    prod = np.einsum("...aij,...bjk->...abik", tf, tf)
+    comm = prod - np.swapaxes(prod, -4, -3)
+    comm_sum = np.sum(comm * comm, axis=(-4, -3, -2, -1))
+    gram_sum = np.sum(sigma * sigma, axis=(-2, -1))
+    slack = 1.5 * rho_sq * rho_sq - comm_sum - gram_sum
+    return float(slack) if slack.ndim == 0 else slack
 
 
 def f_tensor_decompose(t: SymTensor3) -> tuple[SymTensor3, np.ndarray, float]:
@@ -295,21 +314,18 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def random_symmetric(n: int, rng: np.random.Generator) -> SymmetricMatrix:
-    """Entries i.i.d. uniform on [-1, 1], then symmetrized."""
+def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, n) array: entries i.i.d. uniform on [-1, 1], then symmetrized."""
     m = rng.uniform(-1.0, 1.0, size=(n, n))
-    return SymmetricMatrix(0.5 * (m + m.T))
+    return 0.5 * (m + m.T)
 
 
 def random_shape_family(n: int, p: int, rng: np.random.Generator) -> ShapeFamily:
-    return ShapeFamily(n, p, tuple(random_symmetric(n, rng) for _ in range(p)))
+    return ShapeFamily(n, p, tuple(SymmetricMatrix(random_symmetric(n, rng)) for _ in range(p)))
 
 
-def random_trace_free_family(n: int, p: int, rng: np.random.Generator) -> TraceFreeFamily:
-    """Symmetrized uniform entries with the trace projected out."""
-    mats = []
+def random_trace_free_family(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """(p, n, n) array: symmetrized uniform entries with the trace projected out."""
     eye = np.eye(n)
-    for _ in range(p):
-        m = random_symmetric(n, rng).data
-        mats.append(SymmetricMatrix(m - (np.trace(m) / n) * eye))
-    return TraceFreeFamily(n, p, tuple(mats))
+    mats = [random_symmetric(n, rng) for _ in range(p)]
+    return np.stack([m - (np.trace(m) / n) * eye for m in mats])

@@ -23,7 +23,13 @@ import numpy as np
 
 from .catalog import IsoparametricSpec
 from .grids import QuadratureGrid
-from .immersion import ImmersionPatch, laplace_beltrami, shape_batch
+from .immersion import (
+    ImmersionPatch,
+    _grid_laplacian,
+    _require_periodic_grid,
+    laplace_beltrami,  # re-exported: callers import it from this module
+    shape_batch,
+)
 from .tensors import equality_witness, traceless_part
 
 __all__ = [
@@ -191,10 +197,11 @@ def el_residual_surface(
         raise ValueError("surface residual needs a 2-dimensional patch")
     if patch.p != 1:
         raise ValueError("surface residual needs codimension 1")
+    _require_periodic_grid(patch, grid)
     batch = _grid_batch(patch, grid, fd_step)
     h_signed = batch.mean_vector[:, 0].reshape(grid.shape)
     s_field = batch.S.reshape(grid.shape)
-    lap = laplace_beltrami(patch, h_signed, grid, step=fd_step)
+    lap = _grid_laplacian(batch, h_signed, grid)
     values = lap + h_signed * (s_field - 2.0 * h_signed**2)
     return SurfaceResidual(values=values, max_norm=float(np.max(np.abs(values))))
 

@@ -172,3 +172,15 @@ def test_conformal_test_structure(capsys):
     assert len(payload["maps"]) == 2
     assert payload["max_drift"] < 1e-2
     assert abs(payload["base"] - 4.0 * math.pi**2) < 1e-9
+
+
+def test_matrix_props_golden_values(capsys):
+    # Pinned outputs of seed 0; the witness residual may only shrink.
+    code, out, _ = run(capsys, ["matrix-props", "--trials", "1000", "--seed", "0"])
+    assert code == 0
+    suites = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert suites["commutator_bound"]["min_slack"] == 0.011433455929823363
+    assert suites["family_bound"]["min_slack"] == 3.1412552158122016e-07
+    assert suites["trace_split"]["max_residual"] == 5.196013278962955e-16
+    assert suites["witness_recovery"]["max_residual"] <= 7.449317513716771e-14
+    assert all(s["trials"] == 1000 and s["violations"] == 0 for s in suites.values())

@@ -9,6 +9,7 @@ from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import (
     ImmersionPatch,
     MobiusMap,
+    PoleError,
     grid_gradient_pairing,
     laplace_beltrami,
     mobius_apply,
@@ -225,6 +226,22 @@ def test_mobius_rejects_poles_on_the_surface():
     mob = MobiusMap(np.eye(4), 1.0, np.zeros(4), x0 / np.linalg.norm(x0))
     with pytest.raises(ValueError, match="pole"):
         mobius_apply(mob, patch)
+
+
+def test_mobius_pole_errors_are_typed():
+    patch = _flat_patch()
+    corner = np.array([lo for lo, _ in patch.fd_safe])
+    x0 = patch.evaluator(corner)
+    with pytest.raises(PoleError):
+        mobius_apply(MobiusMap(np.eye(4), 1.0, np.zeros(4), x0 / np.linalg.norm(x0)), patch)
+    # Halfway between the coarse clearance samples the up-front check
+    # passes, and the image evaluator's own guard has to fire.
+    lo, hi = np.array(patch.fd_safe).T
+    mid = lo + (hi - lo) / 10.0
+    x1 = patch.evaluator(mid)
+    moved = mobius_apply(MobiusMap(np.eye(4), 1.0, np.zeros(4), x1 / np.linalg.norm(x1)), patch)
+    with pytest.raises(PoleError):
+        moved.evaluator(mid[None, :])
 
 
 def test_mobius_images_stay_conformal():

@@ -6,7 +6,6 @@ from willmorelab.linalg import (
     SymmetricMatrix,
     commutator,
     frob_norm_sq,
-    gram_schmidt,
     jacobi_eigen,
 )
 
@@ -53,26 +52,6 @@ def test_commutator_is_antisymmetric_on_random_pairs():
         assert np.allclose(c, -c.T, atol=1e-13)
 
 
-def test_gram_schmidt_orthonormalizes_random_sets():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        dim = int(rng.integers(2, 8))
-        k = int(rng.integers(1, dim + 1))
-        vecs = rng.standard_normal((k, dim))
-        frame = gram_schmidt(vecs)
-        gram = frame.vectors @ frame.vectors.T
-        assert np.allclose(gram, np.eye(k), atol=1e-12)
-        # first vector keeps its direction
-        v0 = vecs[0] / np.linalg.norm(vecs[0])
-        assert np.allclose(frame.vectors[0], v0, atol=1e-12)
-
-
-def test_gram_schmidt_reports_dependent_index():
-    vecs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="vector 2"):
-        gram_schmidt(vecs)
-
-
 def test_orthogonal_frame_validates():
     with pytest.raises(ValueError):
         OrthogonalFrame(np.array([[1.0, 1.0]]))
@@ -91,6 +70,18 @@ def test_jacobi_matches_numpy_eigh():
         assert np.allclose(lam, ref, atol=1e-10 * (1 + np.abs(ref).max()))
         assert np.allclose(q.T @ q, np.eye(n), atol=1e-12)
         assert np.allclose(sym.data @ q, q @ np.diag(lam), atol=1e-9 * (1 + np.abs(ref).max()))
+
+
+def test_jacobi_takes_stacks():
+    rng = np.random.default_rng(203)
+    m = rng.standard_normal((10, 4, 4))
+    stack = m + np.swapaxes(m, -1, -2)
+    lam, q = jacobi_eigen(stack)
+    for k in range(10):
+        lam_k, q_k = jacobi_eigen(SymmetricMatrix(stack[k]))
+        assert np.allclose(lam[k], lam_k, atol=1e-12)
+        assert np.allclose(stack[k] @ q[k], q[k] * lam[k], atol=1e-12)
+    assert np.all(np.diff(lam, axis=-1) <= 0.0)
 
 
 def test_jacobi_eigenvalues_sorted_descending():

@@ -100,13 +100,12 @@ def test_family_bound_invariant_under_orthogonal_mixing():
         rng = trial_rng(44, trial)
         n = int(rng.integers(2, 5))
         p = int(rng.integers(2, 4))
-        fam = random_trace_free_family(n, p, rng)
-        base = check_li_inequality(fam)
+        stacked = random_trace_free_family(n, p, rng)
+        base = check_li_inequality(stacked)
         # mix the family members by a random orthogonal matrix
         g = rng.standard_normal((p, p))
         q, r = np.linalg.qr(g)
         q = q * np.sign(np.diag(r))
-        stacked = fam.stacked()
         mixed = np.einsum("ab,bij->aij", q, stacked)
         fam_mixed = TraceFreeFamily(n, p, tuple(SymmetricMatrix(m) for m in mixed))
         assert abs(check_li_inequality(fam_mixed) - base) < 1e-9 * (1 + abs(base))
@@ -162,6 +161,28 @@ def test_equality_witness_rejects_generic_pairs():
         if check_chern_inequality(a, b) > 1e-6 and equality_witness(a, b) is not None:
             hits += 1
     assert hits == 0
+
+
+def test_stacked_kernels_match_per_trial_calls():
+    rng = np.random.default_rng(49)
+    a = np.stack([random_symmetric(4, rng) for _ in range(30)])
+    b = np.stack([random_symmetric(4, rng) for _ in range(30)])
+    pairs = [check_chern_inequality(SymmetricMatrix(x), SymmetricMatrix(y)) for x, y in zip(a, b)]
+    assert np.array_equal(check_chern_inequality(a, b), pairs)
+
+    fams = np.stack([random_trace_free_family(3, 2, rng) for _ in range(30)])
+    per_family = [
+        check_li_inequality(TraceFreeFamily(3, 2, tuple(SymmetricMatrix(m) for m in f)))
+        for f in fams
+    ]
+    assert np.array_equal(check_li_inequality(fams), per_family)
+
+    a0, b0 = canonical_pair(4)
+    q = np.stack([np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(30)])
+    qt = np.swapaxes(q, -1, -2)
+    t, lam, mu, residual = equality_witness(q @ (0.8 * a0.data) @ qt, q @ (1.3 * b0.data) @ qt)
+    assert t.shape == (30, 4, 4) and residual.max() < 1e-13
+    assert np.allclose(np.abs(lam), 0.8) and np.allclose(mu, 1.3)
 
 
 def test_equality_witness_error_paths():
