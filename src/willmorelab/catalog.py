@@ -245,6 +245,8 @@ def _product_patch(
         fd_safe=tuple(safe),
         name=name,
         normal_hint=hint,
+        # The doubled 2-sphere chart folds at colatitude pi.
+        fold_axes=(0,) if doubled and len(dims) == 1 else (),
     )
 
 

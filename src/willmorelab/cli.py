@@ -200,10 +200,17 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     config = _config_from(args)
     entry = resolve(config.example_id)
     patch = entry.patch
-    table = []
-    for res in _energy_resolutions(config.resolution):
-        grid = QuadratureGrid.for_patch(patch, res)
-        table.append((res, willmore_energy(patch, grid, fd_step=config.fd_step)))
+    levels = _energy_resolutions(config.resolution)
+    if args.check and len(levels) < 2:
+        raise UsageError(
+            "--assert compares the two finest convergence levels; "
+            "use --resolution 9 or more"
+        )
+    grids = [QuadratureGrid.for_patch(patch, res) for res in levels]
+    table = [
+        (res, willmore_energy(patch, grid, fd_step=config.fd_step))
+        for res, grid in zip(levels, grids)
+    ]
     value = table[-1][1]
     payload = {
         "id": entry.example_id,
@@ -214,7 +221,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     }
     rows = [["resolution", "value"]] + [[r, v] for r, v in table]
     _emit(args, payload, rows)
-    if args.check and len(table) >= 2:
+    if args.check:
         drift = abs(table[-1][1] - table[-2][1])
         scale = max(1.0, abs(value))
         if drift > config.tolerance * scale:
@@ -387,6 +394,10 @@ def _cmd_matrix_props(args: argparse.Namespace) -> int:
 
 def _cmd_conformal_test(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    if args.maps < 0:
+        raise UsageError("maps must be nonnegative")
+    if args.check and args.maps == 0:
+        raise UsageError("--assert needs at least one conformal map; use --maps 1 or more")
     entry = resolve(config.example_id)
     patch = entry.patch
     grid = QuadratureGrid.for_patch(patch, config.resolution)

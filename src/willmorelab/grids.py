@@ -87,7 +87,16 @@ class QuadratureGrid:
 
     @classmethod
     def for_patch(cls, patch, resolution) -> "QuadratureGrid":
-        return cls.for_axes(patch.domain, resolution)
+        """Grid over the patch domain; even counts on the patch's fold axes."""
+        grid = cls.for_axes(patch.domain, resolution)
+        for a in patch.fold_axes:
+            if grid.counts[a] % 2:
+                raise ValueError(
+                    f"odd node count {grid.counts[a]} on axis {a}: "
+                    f"{patch.name or 'the chart'} folds at the midpoint of that axis, "
+                    "where an odd count puts a node; use an even resolution"
+                )
+        return grid
 
     @property
     def ndim(self) -> int:

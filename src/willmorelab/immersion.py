@@ -16,6 +16,18 @@ eigenvalues of sum_a (h^a)^2, the metric). The one exception is
 codimension 1, where the unit normal is fixed by orientation and varies
 continuously along the chart.
 
+Two paths share the same guards (interior margin, unit sphere, rank):
+
+* :func:`shape_batch` builds the frames above. Only callers that need a
+  frame use it: :func:`shape_data` (the ``shape`` command and the
+  Veronese reference point) and the surface residual, whose signed mean
+  curvature needs the oriented normal in codimension 1.
+* The frame-free kernel ``_integrand_fields`` gives rho^2, sqrt g and,
+  on request, g^{-1} per point, walking the points in fixed chunks. The
+  energy, pinching and grid integrals, :func:`laplace_beltrami` and
+  :func:`grid_gradient_pairing` use it, so their memory follows the
+  chunk size plus one scalar per point rather than the grid size.
+
 Evaluators and jets must broadcast over leading axes: input (..., n),
 output (..., ambient_dim). All catalog charts do.
 """
@@ -54,6 +66,9 @@ UNIT_TOL = 1e-10
 # Minimum spherical distance the patch image must keep from the
 # stereographic pole when a conformal map is applied.
 POLE_CLEARANCE = 0.1
+# Points per chunk of the frame-free integrand kernel; one chunk's jets
+# stay a few MiB at any grid size.
+_CHUNK = 2048
 
 JetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -76,6 +91,11 @@ class ImmersionPatch:
     orientation, which cannot be globally consistent on charts whose
     sheets cover the image with opposite orientations (a torus chart
     doubling a 2-sphere has no orientation-compatible gauge at all).
+
+    ``fold_axes`` lists periodic axes along which the chart doubles back
+    at the middle of the interval (a doubled sphere chart). The chart
+    differential is singular on the fold, and an odd node count puts a
+    grid node there, so grids for the patch need even counts on them.
     """
 
     n: int
@@ -87,6 +107,7 @@ class ImmersionPatch:
     fd_safe: tuple[tuple[float, float], ...] = ()
     name: str = ""
     normal_hint: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fold_axes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -104,6 +125,8 @@ class ImmersionPatch:
             object.__setattr__(self, "fd_safe", tuple(margin))
         if len(self.fd_safe) != self.n:
             raise ValueError("need one fd_safe interval per parameter")
+        if not all(0 <= a < self.n and self.domain[a].periodic for a in self.fold_axes):
+            raise ValueError("fold axes must be periodic chart axes")
 
     @property
     def p(self) -> int:
@@ -261,13 +284,12 @@ def _validate_step(step: float) -> None:
         )
 
 
-def shape_batch(
-    patch: ImmersionPatch,
-    points,
-    step: float = 1e-4,
-    use_exact: bool = True,
-) -> ShapeBatch:
-    """Shape data for a batch of chart points; see :func:`shape_data`."""
+def _chart_points(patch: ImmersionPatch, points, step: float, use_exact: bool):
+    """Validated (M, n) chart points and whether exact jets apply to them.
+
+    Non-periodic axes need interior points, and a one-step margin from
+    their ends when finite differences are taken.
+    """
     _validate_step(step)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != patch.n:
@@ -283,6 +305,11 @@ def shape_batch(
                 f"axis {a}: points must lie strictly inside [{ax.lo}, {ax.hi}]"
                 + ("" if exact else " with a one-step margin for differencing")
             )
+    return pts, exact
+
+
+def _checked_jets(patch: ImmersionPatch, pts: np.ndarray, step: float, exact: bool):
+    """(x, first, second) at the points, once x is checked to lie on the sphere."""
     if exact:
         x, first, second = patch.exact_jet(pts)
         x = np.asarray(x, dtype=float)
@@ -291,8 +318,20 @@ def shape_batch(
     else:
         x, first, second = _fd_jets(patch.evaluator, pts, step)
     unit_err = np.max(np.abs(np.einsum("mj,mj->m", x, x) - 1.0))
-    if unit_err > UNIT_TOL:
+    if not unit_err <= UNIT_TOL:
         raise ValueError(f"patch image leaves the unit sphere by {unit_err:.3e}")
+    return x, first, second
+
+
+def shape_batch(
+    patch: ImmersionPatch,
+    points,
+    step: float = 1e-4,
+    use_exact: bool = True,
+) -> ShapeBatch:
+    """Shape data for a batch of chart points; see :func:`shape_data`."""
+    pts, exact = _chart_points(patch, points, step, use_exact)
+    x, first, second = _checked_jets(patch, pts, step, exact)
 
     jac = first.transpose(0, 2, 1)  # (M, N, n)
     q, r = np.linalg.qr(jac)
@@ -353,6 +392,108 @@ def shape_batch(
     )
 
 
+def _tangent_gram_schmidt(first: np.ndarray):
+    """Modified Gram-Schmidt on the coordinate derivatives of one chunk.
+
+    ``first`` is (c, n, N). Returns the orthonormal tangent vectors
+    (n, N, c), R^{-1} (n, n, c) with column a holding the coefficients of
+    tangent vector a in the coordinate derivatives, and sqrt(g) = det R.
+    Points are the last axis, so every update is one contiguous row.
+    A degenerate column leaves inf or NaN behind for the rank check.
+    """
+    c, n, nd = first.shape
+    tangent = np.empty((n, nd, c))
+    r_inv = np.zeros((n, n, c))
+    sqrt_g = np.ones(c)
+    for a in range(n):
+        v = first[:, a].T.copy()
+        coef = np.zeros((n, c))
+        coef[a] = 1.0
+        for b in range(a):
+            r = np.einsum("jc,jc->c", tangent[b], v)
+            v -= r * tangent[b]
+            coef -= r * r_inv[:, b]
+        norm = np.sqrt(np.einsum("jc,jc->c", v, v))
+        tangent[a] = v / norm
+        r_inv[:, a] = coef / norm
+        sqrt_g *= norm
+    return tangent, r_inv, sqrt_g
+
+
+def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
+    """Raise where the chart differential of a chunk falls below RANK_TOL.
+
+    sigma_min(R) >= 1 / |R^{-1}|_F clears most nodes; the rest (NaN
+    included) get an exact SVD of the Jacobian. ``offset`` turns chunk
+    indices into point indices.
+    """
+    bound = 1.0 / np.sqrt(np.einsum("ijc,ijc->c", r_inv, r_inv))
+    unclear = np.flatnonzero(~(bound >= RANK_TOL))
+    if not unclear.size:
+        return
+    jac = first[unclear]
+    smin = np.full(unclear.size, np.nan)
+    finite = np.isfinite(jac).all(axis=(1, 2))
+    smin[finite] = np.linalg.svd(jac[finite], compute_uv=False)[:, -1]
+    bad = np.flatnonzero(~(smin >= RANK_TOL))
+    if bad.size:
+        raise ValueError(
+            f"chart differential is rank deficient at point index {offset + unclear[bad[0]]} "
+            f"(smallest singular value {smin[bad[0]]:.3e})"
+        )
+
+
+def _integrand_fields(
+    patch: ImmersionPatch,
+    points,
+    step: float = 1e-4,
+    use_exact: bool = True,
+    inverse_metric: bool = False,
+):
+    """Per-point (rho^2, sqrt g), or (rho^2, sqrt g, g^{-1}), without frames.
+
+    The integrands need only the metric and the normal part of the
+    second derivatives, B_ij = x_ij - P_T x_ij - <x_ij, x> x. Points are
+    taken in chunks of ``_CHUNK``, so memory follows the chunk size plus
+    one scalar per point (and one n x n matrix with ``inverse_metric``).
+    Per chunk, Gram-Schmidt gives the tangent frame and R^{-1}, so
+    g^{-1} = R^{-1} R^{-T} and h_ij = sum_kl R^{-1}_ki R^{-1}_lj B_kl is
+    the second fundamental form in that frame as ambient vectors;
+    rho^2 = |h - (trace h / n) I|^2 is a sum of squares, never negative.
+    No normal frame, sign gauge or general solve is built. The interior,
+    unit-sphere and rank guards of :func:`shape_batch` apply, with the
+    same exception types.
+    """
+    pts, exact = _chart_points(patch, points, step, use_exact)
+    m, n = pts.shape
+    rho_sq = np.empty(m)
+    sqrt_g = np.empty(m)
+    ginv = np.empty((m, n, n)) if inverse_metric else None
+    for start in range(0, m, _CHUNK):
+        chunk = slice(start, min(start + _CHUNK, m))
+        x, first, second = _checked_jets(patch, pts[chunk], step, exact)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tangent, r_inv, sqrt_g[chunk] = _tangent_gram_schmidt(first)
+        _check_rank(first, r_inv, start)
+        # Points first from here: the contractions are batched matmuls
+        # over tiny matrices, fastest on contiguous operands.
+        c, _, nd = first.shape
+        coef = np.ascontiguousarray(r_inv.transpose(2, 1, 0))  # row a: R^{-1} column a
+        h = (coef @ second.reshape(c, n, n * nd)).reshape(c, n, n, nd)
+        h = (coef[:, None] @ h).reshape(c, n * n, nd)
+        frame = np.concatenate([tangent, x.T[None]])  # (n + 1, N, c)
+        cols = np.ascontiguousarray(frame.transpose(2, 1, 0))
+        rows = np.ascontiguousarray(frame.transpose(2, 0, 1))
+        h -= (h @ cols) @ rows
+        # Trace-free part first: no cancellation against n H^2 near
+        # umbilic points.
+        h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(c, n, n, nd))[:, None] / n
+        rho_sq[chunk] = np.einsum("cpj,cpj->c", h, h)
+        if ginv is not None:
+            ginv[chunk] = coef.transpose(0, 2, 1) @ coef
+    return (rho_sq, sqrt_g) if ginv is None else (rho_sq, sqrt_g, ginv)
+
+
 def shape_data(
     patch: ImmersionPatch,
     u,
@@ -400,16 +541,17 @@ def _periodic_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
-def _metric_fields(sb: ShapeBatch, grid: QuadratureGrid):
-    n = grid.ndim
-    ginv = np.linalg.inv(sb.metric.reshape(grid.shape + (n, n)))
-    return ginv, sb.sqrt_g.reshape(grid.shape)
+def _grid_laplacian(
+    f: np.ndarray, ginv: np.ndarray, sqrt_g: np.ndarray, grid: QuadratureGrid
+) -> np.ndarray:
+    """Laplace-Beltrami of a grid function from the metric fields at the nodes.
 
-
-def _grid_laplacian(sb: ShapeBatch, f: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Laplace-Beltrami of a grid function from the shape batch of the grid's nodes."""
-    ginv, sg = _metric_fields(sb, grid)
+    ``ginv`` is (M, n, n) and ``sqrt_g`` (M,), in the node order of
+    :meth:`QuadratureGrid.points`.
+    """
     n = grid.ndim
+    ginv = ginv.reshape(grid.shape + (n, n))
+    sg = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(n)]
     partials = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
     div = np.zeros_like(f)
@@ -446,8 +588,8 @@ def laplace_beltrami(
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    sb = shape_batch(patch, grid.points(), step=step, use_exact=True)
-    return _grid_laplacian(sb, values, grid)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid.points(), step, inverse_metric=True)
+    return _grid_laplacian(values, ginv, sqrt_g, grid)
 
 
 def grid_gradient_pairing(
@@ -463,8 +605,9 @@ def grid_gradient_pairing(
     _require_periodic_grid(patch, grid)
     if fv.shape != grid.shape or gv.shape != grid.shape:
         raise ValueError("grid functions must match the grid shape")
-    sb = shape_batch(patch, grid.points(), step=step, use_exact=True)
-    ginv, sg = _metric_fields(sb, grid)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid.points(), step, inverse_metric=True)
+    ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
+    sg = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(grid.ndim)]
     df = [_periodic_partial(fv, a, spacings[a]) for a in range(grid.ndim)]
     dg = [_periodic_partial(gv, a, spacings[a]) for a in range(grid.ndim)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +38,10 @@ __all__ = [
 
 _DERIV_STEP = 1e-6
 _SCAN_SAMPLES = 128
+# Default radius window, and how close the balanced radius may come to
+# one of its ends before that end moves out.
+_WINDOW = (0.05, 0.95)
+_WINDOW_MARGIN = 1e-3
 
 
 def unit_sphere_volume(k: int) -> float:
@@ -55,16 +60,34 @@ def unit_sphere_volume(k: int) -> float:
 
 @dataclass(frozen=True)
 class TorusFamily:
-    """The radius family S^m(r) x S^{n-m}(sqrt(1-r^2)) in S^{n+1}."""
+    """The radius family S^m(r) x S^{n-m}(sqrt(1-r^2)) in S^{n+1}.
+
+    Radii are admissible in (r_min, r_max). By default that window is
+    (0.05, 0.95); an end the balanced radius comes within 1e-3 of, or
+    passes, moves out to halfway between the balanced radius and the end
+    of (0, 1), so the window always brackets the critical point. Of
+    1 <= m < n <= 12, only (1, 11) and (1, 12) need this.
+    """
 
     m: int
     n: int
-    r_min: float = 0.05
-    r_max: float = 0.95
+    r_min: Optional[float] = None
+    r_max: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n - 1:
             raise ValueError(f"need 1 <= m <= n - 1, got m={self.m}, n={self.n}")
+        balanced = self.balanced_radius
+        if self.r_min is None:
+            lo = _WINDOW[0]
+            object.__setattr__(
+                self, "r_min", lo if balanced > lo + _WINDOW_MARGIN else 0.5 * balanced
+            )
+        if self.r_max is None:
+            hi = _WINDOW[1]
+            object.__setattr__(
+                self, "r_max", hi if balanced < hi - _WINDOW_MARGIN else 0.5 * (1.0 + balanced)
+            )
         if not 0.0 < self.r_min < self.r_max < 1.0:
             raise ValueError("need 0 < r_min < r_max < 1")
 

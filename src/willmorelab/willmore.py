@@ -26,6 +26,7 @@ from .grids import QuadratureGrid
 from .immersion import (
     ImmersionPatch,
     _grid_laplacian,
+    _integrand_fields,
     _require_periodic_grid,
     laplace_beltrami,  # re-exported: callers import it from this module
     shape_batch,
@@ -91,10 +92,11 @@ def _integrate(patch: ImmersionPatch, grid: QuadratureGrid, density: np.ndarray)
     return total / patch.cover_multiplicity
 
 
-def _grid_batch(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float):
+def _grid_fields(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float):
+    """(rho^2, sqrt g) at the grid's nodes, from the frame-free kernel."""
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
-    return shape_batch(patch, grid.points(), step=fd_step)
+    return _integrand_fields(patch, grid.points(), step=fd_step)
 
 
 def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float = 1e-4) -> float:
@@ -104,9 +106,8 @@ def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float 
     divides by the chart's cover multiplicity, so doubled charts report
     the energy of the underlying submanifold.
     """
-    batch = _grid_batch(patch, grid, fd_step)
-    rho_sq = np.maximum(batch.rho_sq, 0.0)
-    return _integrate(patch, grid, rho_sq ** (patch.n / 2.0) * batch.sqrt_g)
+    rho_sq, sqrt_g = _grid_fields(patch, grid, fd_step)
+    return _integrate(patch, grid, rho_sq ** (patch.n / 2.0) * sqrt_g)
 
 
 def grid_integral(
@@ -119,8 +120,8 @@ def grid_integral(
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError(f"grid function has shape {vals.shape}, expected {grid.shape}")
-    batch = _grid_batch(patch, grid, fd_step)
-    return _integrate(patch, grid, vals.reshape(-1) * batch.sqrt_g)
+    _, sqrt_g = _grid_fields(patch, grid, fd_step)
+    return _integrate(patch, grid, vals.reshape(-1) * sqrt_g)
 
 
 def pinching_threshold(n: int, p: int, mode: str) -> float:
@@ -146,9 +147,8 @@ def pinching_integral(
     sit at the threshold.
     """
     threshold = pinching_threshold(patch.n, patch.p, mode)
-    batch = _grid_batch(patch, grid, fd_step)
-    rho_sq = np.maximum(batch.rho_sq, 0.0)
-    density = rho_sq ** (patch.n / 2.0) * (threshold - rho_sq) * batch.sqrt_g
+    rho_sq, sqrt_g = _grid_fields(patch, grid, fd_step)
+    density = rho_sq ** (patch.n / 2.0) * (threshold - rho_sq) * sqrt_g
     return _integrate(patch, grid, density)
 
 
@@ -198,10 +198,11 @@ def el_residual_surface(
     if patch.p != 1:
         raise ValueError("surface residual needs codimension 1")
     _require_periodic_grid(patch, grid)
-    batch = _grid_batch(patch, grid, fd_step)
+    # The signed mean curvature needs the oriented normal of shape_batch.
+    batch = shape_batch(patch, grid.points(), step=fd_step)
     h_signed = batch.mean_vector[:, 0].reshape(grid.shape)
     s_field = batch.S.reshape(grid.shape)
-    lap = _grid_laplacian(batch, h_signed, grid)
+    lap = _grid_laplacian(h_signed, np.linalg.inv(batch.metric), batch.sqrt_g, grid)
     values = lap + h_signed * (s_field - 2.0 * h_signed**2)
     return SurfaceResidual(values=values, max_norm=float(np.max(np.abs(values))))
 

@@ -57,6 +57,33 @@ def test_config_validation_exit_codes(capsys):
     assert code == 2 and "fd" in err.lower()
 
 
+def test_assert_refuses_empty_evidence(capsys):
+    # One convergence level gives nothing to compare.
+    code, out, err = run(capsys, ["energy", "clifford-torus:1,2", "--resolution", "8", "--assert"])
+    assert code == 2 and out == "" and "--resolution 9" in err
+    code, out, err = run(
+        capsys,
+        ["conformal-test", "clifford-torus:1,2", "--maps", "0", "--resolution", "16", "--assert"],
+    )
+    assert code == 2 and out == "" and "--maps 1" in err
+    code, _, err = run(capsys, ["conformal-test", "clifford-torus:1,2", "--maps", "-1"])
+    assert code == 2 and "nonnegative" in err
+
+
+def test_odd_resolution_on_a_folded_chart_is_a_usage_error(capsys):
+    for argv in (
+        ["energy", "round-sphere:2,1,0.7", "--resolution", "17"],
+        ["energy", "round-sphere:2,1,0.7", "--resolution", "36"],  # quarter level 9
+        ["pinch", "round-sphere:2,2,0.5", "--resolution", "17"],
+        ["el-check", "round-sphere:2,1,0.7", "--surface", "--resolution", "17"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "odd node count" in err and "rank deficient" not in err
+    code, out, _ = run(capsys, ["energy", "round-sphere:2,1,0.7", "--resolution", "32"])
+    assert code == 0 and abs(json.loads(out)["value"]) < 1e-12
+
+
 def test_energy_payload_and_convergence(capsys):
     code, out, _ = run(capsys, ["energy", "clifford-torus:1,2", "--resolution", "32", "--assert"])
     assert code == 0
@@ -137,6 +164,14 @@ def test_optimize_reports_balanced_radius(capsys):
     assert abs(payload["critical_radius"] - 1.0 / math.sqrt(2.0)) < 1e-6
     assert payload["difference"] < 1e-6
     assert payload["second_difference"] > 0.0
+
+
+def test_optimize_asserts_on_every_pair_up_to_twelve(capsys):
+    for n in range(2, 13):
+        for m in range(1, n):
+            code, out, err = run(capsys, ["optimize", str(m), str(n), "--assert"])
+            assert code == 0, (m, n, err)
+            assert json.loads(out)["difference"] < 1e-6
 
 
 def test_optimize_csv_profile(capsys):

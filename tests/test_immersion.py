@@ -4,12 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from willmorelab.catalog import clifford_torus, round_sphere, veronese, willmore_torus
+from willmorelab.catalog import (
+    clifford_torus,
+    product_spheres,
+    round_sphere,
+    veronese,
+    willmore_torus,
+)
 from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import (
+    _CHUNK,
     ImmersionPatch,
     MobiusMap,
     PoleError,
+    _integrand_fields,
     grid_gradient_pairing,
     laplace_beltrami,
     mobius_apply,
@@ -19,6 +27,7 @@ from willmorelab.immersion import (
     shape_batch,
     shape_data,
 )
+from willmorelab.willmore import willmore_energy
 
 
 def _flat_patch():
@@ -102,7 +111,9 @@ def test_unit_sphere_violation_is_caught():
         shape_batch(bad, bad.safe_center()[None, :])
 
 
-def test_rank_deficiency_is_reported():
+def _flat_circle_patch():
+    """A 2-parameter chart that ignores its second parameter."""
+
     def flat_circle(t):
         t = np.asarray(t, dtype=float)
         th = t[..., 0]
@@ -113,7 +124,7 @@ def test_rank_deficiency_is_reported():
             axis=-1,
         )
 
-    patch = ImmersionPatch(
+    return ImmersionPatch(
         n=2,
         ambient_dim=4,
         domain=(
@@ -122,6 +133,10 @@ def test_rank_deficiency_is_reported():
         ),
         evaluator=flat_circle,
     )
+
+
+def test_rank_deficiency_is_reported():
+    patch = _flat_circle_patch()
     with pytest.raises(ValueError, match="rank deficient"):
         shape_batch(patch, patch.safe_center()[None, :])
 
@@ -270,3 +285,90 @@ def test_sample_safe_points_stay_in_box():
     for axis, (lo, hi) in enumerate(patch.fd_safe):
         assert pts[:, axis].min() >= lo
         assert pts[:, axis].max() <= hi
+
+
+def _catalog_patches():
+    return [
+        clifford_torus(1, 2)[0],
+        willmore_torus(1, 3)[0],
+        willmore_torus(2, 4)[0],
+        clifford_torus(2, 5)[0],
+        veronese(),
+        product_spheres((1, 1, 1))[0],
+        product_spheres((2, 2, 1))[0],
+        round_sphere(2, 1, 0.7),
+        round_sphere(3, 2, 0.6),
+    ]
+
+
+def _assert_fields_match(patch, pts, step=1e-4, use_exact=True):
+    rho_sq, sqrt_g, ginv = _integrand_fields(patch, pts, step, use_exact, inverse_metric=True)
+    ref = shape_batch(patch, pts, step=step, use_exact=use_exact)
+    for got, want in (
+        (rho_sq, ref.rho_sq),
+        (sqrt_g, ref.sqrt_g),
+        (ginv, np.linalg.inv(ref.metric)),
+    ):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_integrand_kernel_matches_shape_batch_on_the_catalog():
+    rng = np.random.default_rng(5)
+    for patch in _catalog_patches():
+        _assert_fields_match(patch, sample_safe_points(patch, rng, 64))
+
+
+def test_integrand_kernel_matches_shape_batch_on_mobius_images():
+    rng = np.random.default_rng(6)
+    for patch in (clifford_torus(1, 2)[0], willmore_torus(1, 3)[0], veronese()):
+        pts = sample_safe_points(patch, rng, 64)
+        for trial in range(20):
+            try:
+                mob = random_mobius(patch.ambient_dim, np.random.default_rng(900 + trial))
+                _assert_fields_match(mobius_apply(mob, patch), pts, use_exact=False)
+            except PoleError:
+                continue
+            break
+        else:
+            pytest.fail("no pole-safe conformal map drawn")
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 5])
+def test_integrand_kernel_across_chunk_boundaries(count):
+    patch, _ = willmore_torus(1, 3)
+    pts = sample_safe_points(patch, np.random.default_rng(count), count)
+    _assert_fields_match(patch, pts)
+
+
+def test_integrand_kernel_reports_the_global_point_index():
+    sphere = round_sphere(2, 1, 0.7)
+    pts = sample_safe_points(sphere, np.random.default_rng(8), _CHUNK + 10)
+    pts[_CHUNK + 3] = (math.pi, 1.0)  # on the fold of the doubled chart
+    with pytest.raises(ValueError, match=f"rank deficient at point index {_CHUNK + 3} "):
+        _integrand_fields(sphere, pts)
+    # A non-finite differential is not cleared either.
+    base, _ = clifford_torus(1, 2)
+
+    def poisoned(t):
+        x, first, second = base.exact_jet(t)
+        first[t[:, 0] == 0.5] = np.nan
+        return x, first, second
+
+    pts = sample_safe_points(base, np.random.default_rng(9), _CHUNK + 10)
+    pts[_CHUNK + 4, 0] = 0.5
+    with pytest.raises(ValueError, match=f"point index {_CHUNK + 4} .*nan"):
+        _integrand_fields(replace(base, exact_jet=poisoned), pts)
+
+
+def test_energy_keeps_the_shape_guards():
+    flat = _flat_circle_patch()
+    with pytest.raises(ValueError, match="rank deficient"):
+        willmore_energy(flat, QuadratureGrid.for_patch(flat, 8))
+    base = _flat_patch()
+    off = replace(base, evaluator=lambda t: 1.01 * base.evaluator(t), exact_jet=None)
+    with pytest.raises(ValueError, match="unit sphere"):
+        willmore_energy(off, QuadratureGrid.for_patch(off, 8))
+    fd = replace(veronese(), exact_jet=None)
+    with pytest.raises(ValueError, match="axis 0: .*one-step margin"):
+        willmore_energy(fd, QuadratureGrid.for_patch(fd, 64), fd_step=1e-2)

@@ -42,6 +42,17 @@ def test_family_validation():
         second_difference(fam, 0.5, step=-1.0)
 
 
+def test_default_window_moves_out_only_where_needed():
+    # (1, 10) keeps the plain window; the balanced radii of (1, 11) and
+    # (1, 12) lie above 0.95, so their upper end moves out.
+    assert (TorusFamily(1, 10).r_min, TorusFamily(1, 10).r_max) == (0.05, 0.95)
+    for m, n in ((1, 11), (1, 12)):
+        fam = TorusFamily(m, n)
+        assert fam.r_min == 0.05
+        assert fam.balanced_radius < fam.r_max == 0.5 * (1.0 + fam.balanced_radius)
+    assert TorusFamily(1, 2, r_min=0.1, r_max=0.3).r_max == 0.3
+
+
 def test_closed_form_energy_against_quadrature():
     fam = TorusFamily(1, 3)
     for r in (0.45, math.sqrt(2.0 / 3.0), 0.8):

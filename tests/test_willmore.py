@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,3 +203,21 @@ def test_classifier_input_guards():
         classify_willmore(spec, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         classify_willmore(spec, -0.5)
+
+
+def test_energy_memory_follows_the_chunk_not_the_grid():
+    # Peak allocation during the energy grows by the per-node scalars
+    # only (here < 64 bytes per node), not by the O(M n^2 N) jet, which
+    # is 768 bytes per node for this chart.
+    patch, _ = willmore_torus(2, 4)
+    peaks = []
+    for res in (12, 24):
+        grid = QuadratureGrid.for_patch(patch, res)
+        grid.points(), grid.weights()  # the grid's own arrays are not the energy's
+        tracemalloc.start()
+        try:
+            willmore_energy(patch, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4 * 16 * 24**4
