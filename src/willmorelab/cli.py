@@ -17,6 +17,7 @@ order and checks each group of same-shaped trials in one array call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -567,9 +568,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import, and reused: building the
+    # tree costs more than many commands, and parsing leaves it unchanged.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
         return handler(args)

@@ -28,8 +28,16 @@ Two paths share the same guards (interior margin, unit sphere, rank):
   :func:`grid_gradient_pairing` use it, so their memory follows the
   chunk size plus one scalar per point rather than the grid size.
 
+Conformal images (:func:`mobius_apply`) keep exact jets whenever the
+source patch has them. A Moebius map of the sphere acts linearly on the
+light cone, so on the sphere it is one linear fraction
+z = (A x + a) / (c . x + d), built once per map; the image jets follow
+from the source jets by the quotient rule, and conformal energies take
+the exact-jet path like any catalog chart.
+
 Evaluators and jets must broadcast over leading axes: input (..., n),
-output (..., ambient_dim). All catalog charts do.
+output (..., ambient_dim). All catalog charts and their conformal images
+do.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ __all__ = [
     "ShapeBatch",
     "MobiusMap",
     "PoleError",
+    "RankError",
     "shape_data",
     "shape_batch",
     "scalar_curvature",
@@ -211,6 +220,22 @@ class ShapeBatch:
     rho_sq: np.ndarray  # (M,)
 
 
+class RankError(ValueError):
+    """The chart differential is rank deficient at a chart point.
+
+    ``index`` is the position of the point in the caller's batch and
+    ``smin`` the smallest singular value found there.
+    """
+
+    def __init__(self, index: int, smin: float) -> None:
+        super().__init__(
+            f"chart differential is rank deficient at point index {index} "
+            f"(smallest singular value {smin:.3e})"
+        )
+        self.index = index
+        self.smin = smin
+
+
 def _fd_jets(evaluator, pts: np.ndarray, step: float):
     """Second-order central differences of the evaluator at each point."""
     m, n = pts.shape
@@ -342,10 +367,7 @@ def shape_batch(
     smin = np.linalg.svd(r, compute_uv=False)[:, -1]
     bad = np.nonzero(smin < RANK_TOL)[0]
     if bad.size:
-        raise ValueError(
-            f"chart differential is rank deficient at point index {bad[0]} "
-            f"(smallest singular value {smin[bad[0]]:.3e})"
-        )
+        raise RankError(int(bad[0]), smin[bad[0]])
     metric = np.einsum("mja,mjb->mab", jac, jac)
     sqrt_g = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)
 
@@ -437,10 +459,7 @@ def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
     smin[finite] = np.linalg.svd(jac[finite], compute_uv=False)[:, -1]
     bad = np.flatnonzero(~(smin >= RANK_TOL))
     if bad.size:
-        raise ValueError(
-            f"chart differential is rank deficient at point index {offset + unclear[bad[0]]} "
-            f"(smallest singular value {smin[bad[0]]:.3e})"
-        )
+        raise RankError(offset + int(unclear[bad[0]]), smin[bad[0]])
 
 
 def _integrand_fields(
@@ -664,25 +683,48 @@ class PoleError(ValueError):
     """A conformal image passes too close to the stereographic pole."""
 
 
-def _mobius_point_map(mob: MobiusMap, y: np.ndarray, guard: float) -> np.ndarray:
-    align = y @ mob.pole
-    closest = np.max(align)
-    if closest > 1.0 - guard:
-        raise PoleError("patch image passes too close to the stereographic pole")
-    denom = 1.0 - align
-    w = (y - align[..., None] * mob.pole) / denom[..., None]
-    w = mob.dilation * w + mob.translation
-    t = np.einsum("...j,...j->...", w, w)
-    return (2.0 * w + (t - 1.0)[..., None] * mob.pole) / (t + 1.0)[..., None]
+def _linear_fraction(mob: MobiusMap) -> tuple[np.ndarray, np.ndarray]:
+    """The map x -> z = (A x + a) / (c . x + d), with the pole row p . R x.
+
+    Returns the (N + 2, N) rows (A; c; p^T R) and the offsets (a; d; 0).
+    On the light cone a unit vector y = R x has coordinates
+    u = 1 - p.y, v = 1 + p.y and y_perp = y - (p.y) p, with
+    |y_perp|^2 = u v and stereographic image w = y_perp / u. The dilation
+    maps (u, v) to (u / lambda, lambda v); the translation maps v to
+    v + 2 b.y_perp + |b|^2 u and y_perp to y_perp + b u. Back on the
+    sphere, z = V / s with s = (u + v) / 2 > 0 and
+    V = y_perp + (v - u) p / 2. Each step is affine in y, so the steps
+    are applied to the columns of the homogeneous basis of (y, 1).
+    """
+    nd = mob.ambient_dim
+    p, b, lam = mob.pole, mob.translation, mob.dilation
+    y = np.hstack([np.eye(nd), np.zeros((nd, 1))])
+    one = np.append(np.zeros(nd), 1.0)
+    align = p @ y
+    u, v = (one - align) / lam, lam * (one + align)
+    perp = y - np.outer(p, align)
+    v = v + 2.0 * (b @ perp) + (b @ b) * u
+    perp = perp + np.outer(b, u)
+    rows = np.vstack([perp + 0.5 * np.outer(p, v - u), 0.5 * (u + v), align])
+    return rows[:, :nd] @ mob.rotation, rows[:, nd]
 
 
 def mobius_apply(mob: MobiusMap, patch: ImmersionPatch, check_samples: int = 6) -> ImmersionPatch:
     """Compose a patch with a conformal map of the ambient sphere.
 
+    The map acts linearly on the light cone, so on the sphere it is one
+    linear fraction z = (A x + a) / s with s = c . x + d > 0 (see
+    :func:`_linear_fraction`), built once per map. The image evaluator
+    applies it, and when the source patch has exact jets the image keeps
+    exact jets by the quotient rule, with s_i = c . x_i:
+
+        z_i = (A x_i - s_i z) / s,
+        z_ij = (A x_ij - s_j z_i - s_i z_j - s_ij z) / s.
+
     The image must keep spherical distance >= 0.1 from the pole; this is
     checked on a coarse sample grid up front and guarded pointwise (at
-    half the clearance) inside the returned evaluator. The result keeps
-    the domain and cover multiplicity but loses exact jets.
+    half the clearance) inside the returned evaluator and jet. The result
+    keeps the domain and cover multiplicity.
     """
     if mob.ambient_dim != patch.ambient_dim:
         raise ValueError("ambient dimensions do not match")
@@ -699,17 +741,57 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch, check_samples: int = 6) 
             f"(min spherical distance {np.arccos(min(1.0, worst)):.4f} < {POLE_CLEARANCE})"
         )
     guard = 1.0 - np.cos(0.5 * POLE_CLEARANCE)
+    nd = patch.ambient_dim
+    lin, offset = _linear_fraction(mob)
+
+    def check_pole(align: np.ndarray) -> None:
+        if np.max(align) > 1.0 - guard:
+            raise PoleError("patch image passes too close to the stereographic pole")
+
     base_eval = patch.evaluator
-    rot_t = mob.rotation.T
 
     def evaluator(u):
-        y = np.asarray(base_eval(u), dtype=float) @ rot_t
-        return _mobius_point_map(mob, y, guard)
+        w = np.asarray(base_eval(u), dtype=float) @ lin.T + offset
+        check_pole(w[..., nd + 1])
+        return w[..., :nd] / w[..., nd, None]
+
+    exact_jet = None
+    if patch.exact_jet is not None:
+        base_jet = patch.exact_jet
+
+        def exact_jet(t):
+            x, first, second = (np.asarray(j, dtype=float) for j in base_jet(t))
+            lead, n = x.shape[:-1], first.shape[-2]
+            m = x.size // nd
+            # Rows (x, x_i, x_ij), one product, then points as the last axis.
+            stacked = np.concatenate([
+                x.reshape(1, m, nd),
+                first.reshape(m, n, nd).transpose(1, 0, 2),
+                second.reshape(m, n * n, nd).transpose(1, 0, 2),
+            ])
+            w = (lin @ stacked.reshape(-1, nd).T).reshape(nd + 2, 1 + n + n * n, m)
+            w[:, 0] += offset[:, None]
+            check_pole(w[nd + 1, 0])
+            s, ds, dds = w[nd, 0], w[nd, 1 : 1 + n], w[nd, 1 + n :].reshape(n, n, m)
+            inv_s = 1.0 / s
+            z = w[:nd, 0] * inv_s
+            zi = (w[:nd, 1 : 1 + n] - ds * z[:, None]) * inv_s
+            zij = w[:nd, 1 + n :].reshape(nd, n, n, m)
+            zij -= zi[:, :, None] * ds + zi[:, None] * ds[:, None]
+            zij -= dds * z[:, None, None]
+            zij *= inv_s
+            return (
+                z.T.reshape(lead + (nd,)),
+                zi.transpose(2, 1, 0).reshape(lead + (n, nd)),
+                zij.transpose(3, 1, 2, 0).reshape(lead + (n, n, nd)),
+            )
 
     label = f"mobius({patch.name})" if patch.name else "mobius"
     # The source patch's co-normal reference does not transform with the
     # map, so the image patch falls back to the orientation gauge.
-    return replace(patch, evaluator=evaluator, exact_jet=None, name=label, normal_hint=None)
+    return replace(
+        patch, evaluator=evaluator, exact_jet=exact_jet, name=label, normal_hint=None
+    )
 
 
 def random_mobius(

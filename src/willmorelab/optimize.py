@@ -129,7 +129,12 @@ def family_energy(fam: TorusFamily, r: float) -> float:
     s_total = m * k1 * k1 + (n - m) * k2 * k2
     rho_sq = s_total - n * mean * mean
     volume = unit_sphere_volume(m) * r**m * unit_sphere_volume(n - m) * s ** (n - m)
-    return rho_sq ** (n / 2.0) * volume
+    try:
+        return rho_sq ** (n / 2.0) * volume
+    except OverflowError:
+        raise ValueError(
+            f"energy of the ({m}, {n}) torus family overflows a float at r = {r!r}"
+        ) from None
 
 
 def energy_derivative(fam: TorusFamily, r: float, step: float = _DERIV_STEP) -> float:

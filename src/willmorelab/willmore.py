@@ -24,7 +24,9 @@ import numpy as np
 from .catalog import IsoparametricSpec
 from .grids import QuadratureGrid
 from .immersion import (
+    _CHUNK,
     ImmersionPatch,
+    RankError,
     _grid_laplacian,
     _integrand_fields,
     _require_periodic_grid,
@@ -198,11 +200,25 @@ def el_residual_surface(
     if patch.p != 1:
         raise ValueError("surface residual needs codimension 1")
     _require_periodic_grid(patch, grid)
-    # The signed mean curvature needs the oriented normal of shape_batch.
-    batch = shape_batch(patch, grid.points(), step=fd_step)
-    h_signed = batch.mean_vector[:, 0].reshape(grid.shape)
-    s_field = batch.S.reshape(grid.shape)
-    lap = _grid_laplacian(h_signed, np.linalg.inv(batch.metric), batch.sqrt_g, grid)
+    # The signed mean curvature needs the oriented normal of shape_batch,
+    # taken in chunks that keep only the fields the residual reads.
+    pts = grid.points()
+    m = len(pts)
+    h_signed, s_field, sqrt_g = np.empty(m), np.empty(m), np.empty(m)
+    ginv = np.empty((m, 2, 2))
+    for start in range(0, m, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        try:
+            batch = shape_batch(patch, pts[chunk], step=fd_step)
+        except RankError as exc:
+            raise RankError(start + exc.index, exc.smin) from None
+        h_signed[chunk] = batch.mean_vector[:, 0]
+        s_field[chunk] = batch.S
+        sqrt_g[chunk] = batch.sqrt_g
+        ginv[chunk] = np.linalg.inv(batch.metric)
+    h_signed = h_signed.reshape(grid.shape)
+    s_field = s_field.reshape(grid.shape)
+    lap = _grid_laplacian(h_signed, ginv, sqrt_g, grid)
     values = lap + h_signed * (s_field - 2.0 * h_signed**2)
     return SurfaceResidual(values=values, max_norm=float(np.max(np.abs(values))))
 

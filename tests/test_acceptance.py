@@ -213,7 +213,7 @@ def _max_conformal_drift(patch, resolution: int, maps: int, seed: int) -> float:
 def test_conformal_energy_invariance(report):
     drift_torus = _max_conformal_drift(clifford_torus(1, 2)[0], 64, 10, seed=42)
     drift_veronese = _max_conformal_drift(veronese(), 48, 10, seed=43)
-    ok = drift_torus <= 1e-3 and drift_veronese <= 1e-3
+    ok = drift_torus <= 1e-12 and drift_veronese <= 1e-12
     report(
         "conformal energy invariance",
         ok,

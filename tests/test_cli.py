@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from willmorelab import cli
 from willmorelab.cli import main
 
 
@@ -219,3 +222,32 @@ def test_matrix_props_golden_values(capsys):
     assert suites["trace_split"]["max_residual"] == 5.196013278962955e-16
     assert suites["witness_recovery"]["max_residual"] <= 7.449317513716771e-14
     assert all(s["trials"] == 1000 and s["violations"] == 0 for s in suites.values())
+
+
+def test_optimize_overflow_is_an_error_line(capsys):
+    for m, n in ((1, 400), (399, 400)):
+        code, out, err = run(capsys, ["optimize", str(m), str(n), "--assert"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "overflows" in err
+
+
+def test_reused_parser_matches_fresh_parsers(capsys):
+    calls = [
+        ["catalog", "--format", "csv"],
+        ["optimize", "1", "3", "--samples", "5"],
+        ["el-check", "willmore-torus:1,3", "--format", "csv"],
+        ["pinch", "veronese", "--resolution", "16", "--mode", "li"],
+        ["optimize", "2", "5", "--format", "csv", "--samples", "3"],
+        ["energy", "clifford-torus:1,2", "--resolution", "16", "--tolerance", "1e-3"],
+        ["catalog"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    for argv, want in zip(calls, fresh):
+        assert run(capsys, argv) == want
+        # A refused command leaves the shared parser as it was.
+        with pytest.raises(SystemExit):
+            main(argv[:1] + ["--no-such-flag"])
+        capsys.readouterr()

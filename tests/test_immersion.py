@@ -16,7 +16,9 @@ from willmorelab.immersion import (
     _CHUNK,
     ImmersionPatch,
     MobiusMap,
+    POLE_CLEARANCE,
     PoleError,
+    _fd_jets,
     _integrand_fields,
     grid_gradient_pairing,
     laplace_beltrami,
@@ -210,14 +212,94 @@ def test_discrete_integration_by_parts_is_exact():
 
 
 def test_mobius_identity_map_is_exact():
-    patch = _flat_patch()
+    patch = willmore_torus(2, 4)[0]
     dim = patch.ambient_dim
-    pole = np.zeros(dim)
-    pole[0] = 1.0
-    mob = MobiusMap(np.eye(dim), 1.0, np.zeros(dim), pole)
+    pole = np.random.default_rng(4).standard_normal(dim)
+    mob = MobiusMap(np.eye(dim), 1.0, np.zeros(dim), pole / np.linalg.norm(pole))
     moved = mobius_apply(mob, patch)
     pts = sample_safe_points(patch, np.random.default_rng(2), 12)
-    assert np.abs(moved.evaluator(pts) - patch.evaluator(pts)).max() < 1e-12
+    assert np.abs(moved.evaluator(pts) - patch.evaluator(pts)).max() < 1e-14
+    for got, want in zip(moved.exact_jet(pts), patch.exact_jet(pts)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-14
+
+
+def _stereographic_reference(mob, patch):
+    """The image evaluator as a stereographic round trip, point by point."""
+    limit = 1.0 - (1.0 - np.cos(0.5 * POLE_CLEARANCE))
+
+    def evaluator(u):
+        y = patch.evaluator(u) @ mob.rotation.T
+        align = y @ mob.pole
+        if np.max(align) > limit:
+            raise PoleError("patch image passes too close to the stereographic pole")
+        w = (y - align[..., None] * mob.pole) / (1.0 - align)[..., None]
+        w = mob.dilation * w + mob.translation
+        t = np.einsum("...j,...j->...", w, w)
+        return (2.0 * w + (t - 1.0)[..., None] * mob.pole) / (t + 1.0)[..., None]
+
+    return evaluator
+
+
+def _lift_patches():
+    return [
+        clifford_torus(1, 2)[0],
+        veronese(),
+        willmore_torus(2, 4)[0],
+        product_spheres((1, 1, 1))[0],
+    ]
+
+
+def _pole_safe_images(patch, seed, count):
+    images = []
+    for trial in range(20 * count):
+        mob = random_mobius(patch.ambient_dim, np.random.default_rng(seed + trial))
+        try:
+            images.append((mob, mobius_apply(mob, patch)))
+        except PoleError:
+            continue
+        if len(images) == count:
+            return images
+    pytest.fail("no pole-safe conformal map drawn")
+
+
+def test_mobius_lift_matches_the_stereographic_round_trip():
+    rng = np.random.default_rng(12)
+    for patch in _lift_patches():
+        pts = sample_safe_points(patch, rng, 200)
+        for mob, moved in _pole_safe_images(patch, 300, 3):
+            reference = _stereographic_reference(mob, patch)
+            assert np.abs(moved.evaluator(pts) - reference(pts)).max() <= 1e-14
+            # Leading axes broadcast like the source evaluator.
+            grid_pts = pts[:12].reshape(3, 4, patch.n)
+            assert np.abs(moved.evaluator(grid_pts) - reference(grid_pts)).max() <= 1e-14
+
+
+def test_mobius_images_keep_exact_jets():
+    rng = np.random.default_rng(13)
+    for patch in _lift_patches():
+        pts = sample_safe_points(patch, rng, 40)
+        for _, moved in _pole_safe_images(patch, 700, 3):
+            assert moved.exact_jet is not None
+            x, first, second = moved.exact_jet(pts)
+            fx, ffirst, fsecond = _fd_jets(moved.evaluator, pts, 1e-4)
+            assert np.abs(x - fx).max() <= 1e-14
+            assert np.abs(first - ffirst).max() <= 1e-7
+            assert np.abs(second - fsecond).max() <= 1e-6
+            # The jet broadcasts over leading axes as well.
+            lead = moved.exact_jet(pts[:12].reshape(3, 4, patch.n))
+            for got, want in zip(lead, (x, first, second)):
+                assert np.abs(got.reshape(want[:12].shape) - want[:12]).max() <= 1e-15
+
+
+def test_mobius_images_of_jet_free_patches_use_differences():
+    source = clifford_torus(1, 2)[0]
+    (mob, moved), = _pole_safe_images(replace(source, exact_jet=None), 40, 1)
+    assert moved.exact_jet is None
+    pts = sample_safe_points(source, np.random.default_rng(14), 16)
+    fd = shape_batch(moved, pts, step=1e-4)
+    exact = shape_batch(mobius_apply(mob, source), pts)
+    assert np.abs(fd.rho_sq - exact.rho_sq).max() < 1e-6
 
 
 def test_mobius_map_validation():
@@ -257,6 +339,21 @@ def test_mobius_pole_errors_are_typed():
     moved = mobius_apply(MobiusMap(np.eye(4), 1.0, np.zeros(4), x1 / np.linalg.norm(x1)), patch)
     with pytest.raises(PoleError):
         moved.evaluator(mid[None, :])
+    with pytest.raises(PoleError):
+        moved.exact_jet(mid[None, :])
+
+
+def test_energy_of_a_grazing_image_raises_from_the_exact_path():
+    patch = _flat_patch()
+    grid = QuadratureGrid.for_patch(patch, 40)
+    # A grid node off the coarse clearance samples: the up-front check
+    # passes, and the node's own guard fires inside the energy.
+    node = grid.points()[4 * 40 + 4]
+    x0 = patch.evaluator(node)
+    moved = mobius_apply(MobiusMap(np.eye(4), 1.0, np.zeros(4), x0 / np.linalg.norm(x0)), patch)
+    assert moved.exact_jet is not None
+    with pytest.raises(PoleError, match="stereographic pole"):
+        willmore_energy(moved, grid)
 
 
 def test_mobius_images_stay_conformal():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from willmorelab.catalog import (
     willmore_torus,
 )
 from willmorelab.grids import QuadratureGrid
+from willmorelab.immersion import _CHUNK, RankError
 from willmorelab.linalg import SymmetricMatrix
 from willmorelab.tensors import ShapeFamily
 from willmorelab.willmore import (
@@ -221,3 +223,36 @@ def test_energy_memory_follows_the_chunk_not_the_grid():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 4 * 16 * 24**4
+
+
+def test_surface_residual_memory_follows_the_chunk_not_the_grid():
+    # Peak allocation grows by a few scalars and one 2 x 2 metric per
+    # node (about 11 doubles here), not by the frames and jets of one
+    # shape batch over the whole grid (about 94 doubles per node).
+    patch, _ = clifford_torus(1, 2)
+    peaks = []
+    for res in (128, 256):
+        grid = QuadratureGrid.for_patch(patch, res)
+        grid.points(), grid.weights()  # the grid's own arrays are not the residual's
+        tracemalloc.start()
+        try:
+            el_residual_surface(patch, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 20 * 8 * (256**2 - 128**2)
+
+
+def test_surface_residual_reports_the_global_point_index():
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 64)
+    bad = _CHUNK + 3
+    theta = grid.points()[bad]
+
+    def degenerate(t):
+        x, first, second = patch.exact_jet(t)
+        first[np.all(t == theta, axis=-1)] = 0.0
+        return x, first, second
+
+    with pytest.raises(RankError, match=f"rank deficient at point index {bad} "):
+        el_residual_surface(replace(patch, exact_jet=degenerate), grid)
