@@ -12,6 +12,18 @@ azimuth. The finite-difference safe box keeps colatitudes in
 Sign conventions: for one two-sphere product S^m(a) x S^{n-m}(b) the
 co-normal is oriented so the first factor carries the positive principal
 curvature b/a (multiplicity m) and the second carries -a/b.
+
+Exact jets are closed forms computed with points as the last axis: sin
+and cos once per coordinate, the polar-chart factor tables as
+(k, k + 1, P) rows, and the leave-one-out and leave-two-out products of
+the derivatives from prefix and suffix products over those rows. The
+jets keep the contract of :class:`~willmorelab.immersion.ImmersionPatch`
+(shapes (..., N), (..., n, N), (..., n, n, N), float64), in two layouts:
+x and the first derivatives are transposed views of points-last arrays,
+so a consumer that reads one derivative for all points reads one
+contiguous row; the second derivatives are a contiguous points-first
+array, so the integrand kernel's batched matmul over (n, n N) per point
+takes them without a copy.
 """
 
 from __future__ import annotations
@@ -91,53 +103,75 @@ class CatalogEntry:
     spec: IsoparametricSpec
 
 
-def _sphere_tables(t: np.ndarray, k: int):
-    """Per-factor tables for the polar chart of the unit k-sphere.
+def _points_last(t: np.ndarray) -> np.ndarray:
+    """(..., d) chart points as contiguous (d, P) coordinate rows."""
+    return np.ascontiguousarray(t.reshape(-1, t.shape[-1]).T)
 
-    Component c of the chart value is a product over coordinates i of
-    sin(t_i) for i < c, cos(t_c) for i == c, and 1 for i > c (component
-    k is the all-sines product). The tables hold those factors and their
-    first two derivatives.
+
+def _sphere_tables(sin: np.ndarray, cos: np.ndarray):
+    """Factor tables of the polar chart of the unit k-sphere, points last.
+
+    ``sin`` and ``cos`` are (k, P) rows of the k coordinates. Component c
+    of the chart value is a product over coordinates i of sin(t_i) for
+    i < c, cos(t_c) for i == c, and 1 for i > c (component k is the
+    all-sines product). The tables are (k, k + 1, P): row (i, c) holds
+    that factor, and its first and second derivatives in t_i.
     """
-    sin, cos = np.sin(t), np.cos(t)
-    base = t.shape[:-1]
-    f = np.ones(base + (k, k + 1))
-    f1 = np.zeros(base + (k, k + 1))
-    f2 = np.zeros(base + (k, k + 1))
+    k, pts = sin.shape
+    f = np.ones((k, k + 1, pts))
+    f1 = np.zeros((k, k + 1, pts))
+    f2 = np.zeros((k, k + 1, pts))
     for i in range(k):
-        for c in range(k + 1):
-            if i < c:
-                f[..., i, c] = sin[..., i]
-                f1[..., i, c] = cos[..., i]
-                f2[..., i, c] = -sin[..., i]
-            elif i == c:
-                f[..., i, c] = cos[..., i]
-                f1[..., i, c] = -sin[..., i]
-                f2[..., i, c] = -cos[..., i]
+        f[i, i], f[i, i + 1 :] = cos[i], sin[i]
+        f1[i, i], f1[i, i + 1 :] = -sin[i], cos[i]
+        f2[i, i], f2[i, i + 1 :] = -cos[i], -sin[i]
     return f, f1, f2
 
 
+def _times(a, b):
+    """a * b, where None stands for an empty product."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
 def _sphere_value(t: np.ndarray, k: int) -> np.ndarray:
-    f, _, _ = _sphere_tables(t, k)
-    return f.prod(axis=-2)
+    """Polar chart of the unit k-sphere at (..., k) points: (..., k + 1)."""
+    tt = _points_last(t)
+    f, _, _ = _sphere_tables(np.sin(tt), np.cos(tt))
+    return f.prod(axis=0).T.reshape(t.shape[:-1] + (k + 1,))
 
 
-def _sphere_jet(t: np.ndarray, k: int):
-    f, f1, f2 = _sphere_tables(t, k)
-    base = t.shape[:-1]
-    y = f.prod(axis=-2)
-    dy = np.zeros(base + (k, k + 1))
-    d2y = np.zeros(base + (k, k, k + 1))
+def _sphere_jet(sin: np.ndarray, cos: np.ndarray):
+    """Value and derivatives of the polar k-sphere chart, points last.
+
+    From (k, P) rows of sin and cos, returns y (k + 1, P), the rows
+    dy[a] (k + 1, P) of d y / d t_a, and d2y, a dict holding the rows of
+    d^2 y / d t_a d t_b for a <= b. The derivative in t_a replaces row a
+    of the factor table, so it multiplies that row's derivative by the
+    product of the other rows; those leave-one-out and leave-two-out
+    products come from prefix and suffix products over the rows. For
+    k <= 3 every product keeps the factor order of a left-to-right
+    product over the table with the excluded rows deleted.
+    """
+    f, f1, f2 = _sphere_tables(sin, cos)
+    k = len(f)
+    pre = [None]  # pre[i]: rows 0 .. i - 1
+    for i in range(k):
+        pre.append(_times(pre[i], f[i]))
+    suf = [None] * (k + 1)  # suf[i]: rows i .. k - 1, for i >= 1
+    for i in range(k - 1, 0, -1):
+        suf[i] = _times(f[i], suf[i + 1])
+    dy, d2y = [], {}
     for a in range(k):
-        excl = np.delete(f, a, axis=-2).prod(axis=-2)
-        dy[..., a, :] = f1[..., a, :] * excl
-        d2y[..., a, a, :] = f2[..., a, :] * excl
+        excl = _times(pre[a], suf[a + 1])
+        dy.append(_times(f1[a], excl))
+        d2y[a, a] = _times(f2[a], excl)
+        mid = pre[a]  # rows 0 .. b - 1 without row a
         for b in range(a + 1, k):
-            excl_ab = np.delete(np.delete(f, b, axis=-2), a, axis=-2).prod(axis=-2)
-            mixed = f1[..., a, :] * f1[..., b, :] * excl_ab
-            d2y[..., a, b, :] = mixed
-            d2y[..., b, a, :] = mixed
-    return y, dy, d2y
+            d2y[a, b] = _times(f1[a] * f1[b], _times(mid, suf[b + 1]))
+            mid = _times(mid, f[b])
+    return pre[k], dy, d2y
 
 
 def _factor_axes(k: int, doubled: bool):
@@ -168,7 +202,14 @@ def _product_patch(
     name: str = "",
 ) -> ImmersionPatch:
     """Chart for a product of round spheres, optionally padded by
-    constant ambient components."""
+    constant ambient components.
+
+    The exact jet fills each factor's block from that factor's
+    points-last sphere jet: x into an (N, P) array and the first
+    derivatives into an (n, N, P) array, both returned as transposed
+    views, and the second derivatives block by block into a contiguous
+    (P, n, n, N) array. Off-block entries are zero.
+    """
     n = sum(dims)
     ambient = sum(k + 1 for k in dims) + len(tail)
     param_slices = []
@@ -195,17 +236,27 @@ def _product_patch(
     def exact_jet(t):
         t = np.asarray(t, dtype=float)
         base = t.shape[:-1]
-        x = np.zeros(base + (ambient,))
-        first = np.zeros(base + (n, ambient))
-        second = np.zeros(base + (n, n, ambient))
+        tt = _points_last(t)
+        pts = tt.shape[1]
+        sin, cos = np.sin(tt), np.cos(tt)
+        x = np.zeros((ambient, pts))
+        first = np.zeros((n, ambient, pts))
+        second = np.zeros((pts, n, n, ambient))
         for k, r, ps, asl in zip(dims, radii, param_slices, ambient_slices):
-            y, dy, d2y = _sphere_jet(t[..., ps], k)
-            x[..., asl] = r * y
-            first[..., ps, asl] = r * dy
-            second[..., ps, ps, asl] = r * d2y
+            y, dy, d2y = _sphere_jet(sin[ps], cos[ps])
+            x[asl] = r * y
+            for a in range(k):
+                first[ps.start + a, asl] = r * dy[a]
+            for (a, b), rows in d2y.items():
+                i, j = ps.start + a, ps.start + b
+                second[:, i, j, asl] = second[:, j, i, asl] = (r * rows).T
         if tail_arr.size:
-            x[..., apos:] = tail_arr
-        return x, first, second
+            x[apos:] = tail_arr[:, None]
+        return (
+            x.T.reshape(base + (ambient,)),
+            first.transpose(2, 0, 1).reshape(base + (n, ambient)),
+            second.reshape(base + (n, n, ambient)),
+        )
 
     axes = []
     safe = []
@@ -309,13 +360,18 @@ def veronese_ambient(v) -> np.ndarray:
     Restricted to the sphere x^2 + y^2 + z^2 = 3 it is an isometric
     immersion into the unit 4-sphere identifying antipodal points.
     """
-    v = np.asarray(v, dtype=float)
-    return 0.5 * _veronese_bilinear(v, v)
+    v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    return 0.5 * _veronese_bilinear(v, v, axis=-1)
 
 
-def _veronese_bilinear(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    x1, y1, z1 = v[..., 0], v[..., 1], v[..., 2]
-    x2, y2, z2 = w[..., 0], w[..., 1], w[..., 2]
+def _veronese_bilinear(v, w, axis: int) -> np.ndarray:
+    """The symmetric bilinear map behind :func:`veronese_ambient`.
+
+    v and w hold their three components along the first axis; the five
+    image components are stacked along ``axis``.
+    """
+    x1, y1, z1 = v
+    x2, y2, z2 = w
     return np.stack(
         [
             (y1 * z2 + z1 * y2) / _SQRT3,
@@ -324,7 +380,7 @@ def _veronese_bilinear(v: np.ndarray, w: np.ndarray) -> np.ndarray:
             (x1 * x2 - y1 * y2) / _SQRT3,
             (x1 * x2 + y1 * y2 - 2.0 * z1 * z2) / 3.0,
         ],
-        axis=-1,
+        axis=axis,
     )
 
 
@@ -338,15 +394,23 @@ def veronese() -> ImmersionPatch:
 
     def exact_jet(t):
         t = np.asarray(t, dtype=float)
-        y, dy, d2y = _sphere_jet(t, 2)
+        base = t.shape[:-1]
+        tt = _points_last(t)
+        y, dy, d2y = _sphere_jet(np.sin(tt), np.cos(tt))
         v = _SQRT3 * y
-        dv = _SQRT3 * dy
-        d2v = _SQRT3 * d2y
-        x = veronese_ambient(v)
-        first = _veronese_bilinear(v[..., None, :], dv)
-        second = _veronese_bilinear(dv[..., :, None, :], dv[..., None, :, :])
-        second = second + _veronese_bilinear(v[..., None, None, :], d2v)
-        return x, first, second
+        dv = [_SQRT3 * row for row in dy]
+        x = 0.5 * _veronese_bilinear(v, v, axis=0)
+        first = np.stack([_veronese_bilinear(v, w, axis=0) for w in dv])
+        second = np.empty((tt.shape[1], 2, 2, 5))
+        for (a, b), rows in d2y.items():
+            block = _veronese_bilinear(dv[a], dv[b], axis=-1)
+            block += _veronese_bilinear(v, _SQRT3 * rows, axis=-1)
+            second[:, a, b] = second[:, b, a] = block
+        return (
+            x.T.reshape(base + (5,)),
+            first.transpose(2, 0, 1).reshape(base + (2, 5)),
+            second.reshape(base + (2, 2, 5)),
+        )
 
     axes = (
         AxisInterval(0.0, math.pi, periodic=False),

@@ -118,8 +118,10 @@ class QuadratureGrid:
 
     @cached_property
     def _points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.nodes_1d, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        pts = np.empty((self.node_total, self.ndim))
+        grid = pts.reshape(self.counts + (self.ndim,))
+        for a, nodes in enumerate(self.nodes_1d):
+            grid[..., a] = nodes.reshape((-1,) + (1,) * (self.ndim - 1 - a))
         pts.flags.writeable = False
         return pts
 
@@ -135,6 +137,19 @@ class QuadratureGrid:
     def points(self) -> np.ndarray:
         """All nodes, flattened row-major: shape (prod(counts), ndim)."""
         return self._points
+
+    def nodes(self, start: int, stop: int) -> np.ndarray:
+        """Nodes of flat indices [start, stop), shape (stop - start, ndim).
+
+        Equal to ``points()[start:stop]``, but gathered from the 1-d
+        rules, so walking a grid in chunks never builds the whole node
+        array.
+        """
+        index = np.unravel_index(np.arange(start, stop), self.counts)
+        out = np.empty((len(index[0]), self.ndim))
+        for a, (nodes, idx) in enumerate(zip(self.nodes_1d, index)):
+            out[:, a] = nodes[idx]
+        return out
 
     def weights(self) -> np.ndarray:
         """Product weights matching :meth:`points`."""

@@ -23,10 +23,11 @@ Two paths share the same guards (interior margin, unit sphere, rank):
   Veronese reference point) and the surface residual, whose signed mean
   curvature needs the oriented normal in codimension 1.
 * The frame-free kernel ``_integrand_fields`` gives rho^2, sqrt g and,
-  on request, g^{-1} per point, walking the points in fixed chunks. The
-  energy, pinching and grid integrals, :func:`laplace_beltrami` and
+  on request, g^{-1} per point, walking the points in fixed chunks and
+  gathering a grid's nodes chunk by chunk. The energy, pinching and
+  grid integrals, :func:`laplace_beltrami` and
   :func:`grid_gradient_pairing` use it, so their memory follows the
-  chunk size plus one scalar per point rather than the grid size.
+  chunk size plus the per-node scalars, with no node array.
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -310,14 +311,21 @@ def _validate_step(step: float) -> None:
 
 
 def _chart_points(patch: ImmersionPatch, points, step: float, use_exact: bool):
-    """Validated (M, n) chart points and whether exact jets apply to them.
+    """Validated (M, n) chart points and whether exact jets apply to them."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return pts, _checked_domain(patch, pts.T, step, use_exact)
 
-    Non-periodic axes need interior points, and a one-step margin from
-    their ends when finite differences are taken.
+
+def _checked_domain(patch: ImmersionPatch, columns, step: float, use_exact: bool) -> bool:
+    """Whether exact jets apply, once the coordinates are checked.
+
+    ``columns[a]`` holds the coordinates on axis a: the columns of a
+    point array, or a grid's 1-d nodes. Non-periodic axes need interior
+    points, and a one-step margin from their ends when finite
+    differences are taken.
     """
     _validate_step(step)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != patch.n:
+    if len(columns) != patch.n:
         raise ValueError(f"points must have {patch.n} coordinates")
     exact = use_exact and patch.exact_jet is not None
     for a, ax in enumerate(patch.domain):
@@ -325,12 +333,12 @@ def _chart_points(patch: ImmersionPatch, points, step: float, use_exact: bool):
             continue
         margin = 0.0 if exact else step
         lo, hi = ax.lo + margin, ax.hi - margin
-        if np.any(pts[:, a] <= lo) or np.any(pts[:, a] >= hi):
+        if np.any(columns[a] <= lo) or np.any(columns[a] >= hi):
             raise ValueError(
                 f"axis {a}: points must lie strictly inside [{ax.lo}, {ax.hi}]"
                 + ("" if exact else " with a one-step margin for differencing")
             )
-    return pts, exact
+    return exact
 
 
 def _checked_jets(patch: ImmersionPatch, pts: np.ndarray, step: float, exact: bool):
@@ -464,7 +472,7 @@ def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
 
 def _integrand_fields(
     patch: ImmersionPatch,
-    points,
+    nodes,
     step: float = 1e-4,
     use_exact: bool = True,
     inverse_metric: bool = False,
@@ -482,15 +490,25 @@ def _integrand_fields(
     No normal frame, sign gauge or general solve is built. The interior,
     unit-sphere and rank guards of :func:`shape_batch` apply, with the
     same exception types.
+
+    ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
+    chunk at a time (the interior check runs on its 1-d nodes), or an
+    (M, n) array of chart points, sliced the same way.
     """
-    pts, exact = _chart_points(patch, points, step, use_exact)
-    m, n = pts.shape
+    if isinstance(nodes, QuadratureGrid):
+        exact = _checked_domain(patch, nodes.nodes_1d, step, use_exact)
+        m, take = nodes.node_total, nodes.nodes
+    else:
+        pts, exact = _chart_points(patch, nodes, step, use_exact)
+        m, take = len(pts), lambda start, stop: pts[start:stop]
+    n = patch.n
     rho_sq = np.empty(m)
     sqrt_g = np.empty(m)
     ginv = np.empty((m, n, n)) if inverse_metric else None
     for start in range(0, m, _CHUNK):
-        chunk = slice(start, min(start + _CHUNK, m))
-        x, first, second = _checked_jets(patch, pts[chunk], step, exact)
+        stop = min(start + _CHUNK, m)
+        chunk = slice(start, stop)
+        x, first, second = _checked_jets(patch, take(start, stop), step, exact)
         with np.errstate(divide="ignore", invalid="ignore"):
             tangent, r_inv, sqrt_g[chunk] = _tangent_gram_schmidt(first)
         _check_rank(first, r_inv, start)
@@ -565,8 +583,8 @@ def _grid_laplacian(
 ) -> np.ndarray:
     """Laplace-Beltrami of a grid function from the metric fields at the nodes.
 
-    ``ginv`` is (M, n, n) and ``sqrt_g`` (M,), in the node order of
-    :meth:`QuadratureGrid.points`.
+    ``ginv`` is (M, n, n) and ``sqrt_g`` (M,), in the row-major node
+    order of the grid.
     """
     n = grid.ndim
     ginv = ginv.reshape(grid.shape + (n, n))
@@ -607,7 +625,7 @@ def laplace_beltrami(
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid.points(), step, inverse_metric=True)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid, step, inverse_metric=True)
     return _grid_laplacian(values, ginv, sqrt_g, grid)
 
 
@@ -624,7 +642,7 @@ def grid_gradient_pairing(
     _require_periodic_grid(patch, grid)
     if fv.shape != grid.shape or gv.shape != grid.shape:
         raise ValueError("grid functions must match the grid shape")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid.points(), step, inverse_metric=True)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid, step, inverse_metric=True)
     ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
     sg = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(grid.ndim)]

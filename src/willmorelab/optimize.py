@@ -46,16 +46,15 @@ _WINDOW_MARGIN = 1e-3
 
 def unit_sphere_volume(k: int) -> float:
     """Riemannian volume of the unit k-sphere, from the two-step recursion
-    Vol(S^k) = 2 pi / (k - 1) * Vol(S^{k-2}) seeded by Vol(S^0) = 2 and
-    Vol(S^1) = 2 pi."""
+    Vol(S^j) = 2 pi / (j - 1) * Vol(S^{j-2}) seeded by Vol(S^0) = 2 and
+    Vol(S^1) = 2 pi, run as a loop from the seed up to k."""
     k = int(k)
     if k < 0:
         raise ValueError("sphere dimension must be nonnegative")
-    if k == 0:
-        return 2.0
-    if k == 1:
-        return 2.0 * math.pi
-    return 2.0 * math.pi / (k - 1) * unit_sphere_volume(k - 2)
+    volume = 2.0 * math.pi if k % 2 else 2.0
+    for j in range(2 + k % 2, k + 1, 2):
+        volume = 2.0 * math.pi / (j - 1) * volume
+    return volume
 
 
 @dataclass(frozen=True)

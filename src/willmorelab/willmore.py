@@ -98,7 +98,7 @@ def _grid_fields(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float):
     """(rho^2, sqrt g) at the grid's nodes, from the frame-free kernel."""
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
-    return _integrand_fields(patch, grid.points(), step=fd_step)
+    return _integrand_fields(patch, grid, step=fd_step)
 
 
 def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float = 1e-4) -> float:

@@ -5,6 +5,8 @@ import pytest
 
 from willmorelab.catalog import (
     IsoparametricSpec,
+    _sphere_jet,
+    _sphere_value,
     UnknownExampleError,
     catalog_ids,
     clifford_torus,
@@ -19,7 +21,7 @@ from willmorelab.catalog import (
     willmore_torus,
 )
 from willmorelab.grids import QuadratureGrid
-from willmorelab.immersion import sample_safe_points, shape_batch
+from willmorelab.immersion import _fd_jets, sample_safe_points, shape_batch
 from willmorelab.linalg import SymmetricMatrix
 from willmorelab.tensors import ShapeFamily
 
@@ -226,3 +228,118 @@ def test_even_resolution_grids_avoid_chart_poles():
     patch = round_sphere(2, 1, 0.8)
     grid = QuadratureGrid.for_patch(patch, 32)
     shape_batch(patch, grid.points())  # would raise on a pole hit
+
+
+def _reference_sphere_jet(t, k):
+    # The former points-first jet: per-element factor tables, and the
+    # leave-one-out and leave-two-out products rebuilt with np.delete.
+    sin, cos = np.sin(t), np.cos(t)
+    base = t.shape[:-1]
+    f = np.ones(base + (k, k + 1))
+    f1 = np.zeros(base + (k, k + 1))
+    f2 = np.zeros(base + (k, k + 1))
+    for i in range(k):
+        for c in range(k + 1):
+            if i < c:
+                f[..., i, c] = sin[..., i]
+                f1[..., i, c] = cos[..., i]
+                f2[..., i, c] = -sin[..., i]
+            elif i == c:
+                f[..., i, c] = cos[..., i]
+                f1[..., i, c] = -sin[..., i]
+                f2[..., i, c] = -cos[..., i]
+    y = f.prod(axis=-2)
+    dy = np.zeros(base + (k, k + 1))
+    d2y = np.zeros(base + (k, k, k + 1))
+    for a in range(k):
+        excl = np.delete(f, a, axis=-2).prod(axis=-2)
+        dy[..., a, :] = f1[..., a, :] * excl
+        d2y[..., a, a, :] = f2[..., a, :] * excl
+        for b in range(a + 1, k):
+            excl_ab = np.delete(np.delete(f, b, axis=-2), a, axis=-2).prod(axis=-2)
+            mixed = f1[..., a, :] * f1[..., b, :] * excl_ab
+            d2y[..., a, b, :] = mixed
+            d2y[..., b, a, :] = mixed
+    return y, dy, d2y
+
+
+def _points_first_sphere_jet(t, k):
+    rows = np.ascontiguousarray(t.reshape(-1, k).T)
+    y, dy, d2y = _sphere_jet(np.sin(rows), np.cos(rows))
+    full = np.empty((k, k, k + 1, rows.shape[1]))
+    for (a, b), block in d2y.items():
+        full[a, b] = full[b, a] = block
+    base = t.shape[:-1]
+    return (
+        y.T.reshape(base + (k + 1,)),
+        np.stack(dy).transpose(2, 0, 1).reshape(base + (k, k + 1)),
+        full.transpose(3, 0, 1, 2).reshape(base + (k, k, k + 1)),
+    )
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sphere_jet_matches_the_delete_reference(k):
+    # Prefix and suffix products keep the factor order up to k = 3;
+    # from k = 4 on they reassociate, which moves the last bit at most.
+    t = np.random.default_rng(40 + k).uniform(0.0, 2.0 * math.pi, size=(3, 5, k))
+    want = _reference_sphere_jet(t, k)
+    assert _same_bits(_sphere_value(t, k), want[0])
+    for got, ref in zip(_points_first_sphere_jet(t, k), want):
+        if k <= 3:
+            assert _same_bits(got, ref)
+        else:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 4e-16
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_product_chart_jet_is_the_reference_jet_scaled(k):
+    # Through the patch: the points-last rows land in the points-first
+    # contract bit for bit, with the constant tail and zero blocks.
+    r = 0.6
+    patch = round_sphere(k, 1, r)
+    t = np.random.default_rng(50 + k).uniform(0.3, 2.8, size=(4, 3, k))
+    y, dy, d2y = _reference_sphere_jet(t, k)
+    x, first, second = patch.exact_jet(t)
+    assert _same_bits(x[..., : k + 1], r * y) and np.all(x[..., k + 1] == 0.8)
+    assert _same_bits(first[..., : k + 1], r * dy) and not first[..., k + 1].any()
+    assert _same_bits(second[..., : k + 1], r * d2y) and not second[..., k + 1].any()
+
+
+def _jet_families():
+    return [
+        willmore_torus(2, 4)[0],
+        willmore_torus(1, 3)[0],
+        clifford_torus(1, 2)[0],
+        torus_family_patch(2, 5, 0.4)[0],
+        veronese(),
+        product_spheres((2, 2, 1))[0],
+        product_spheres((1, 1, 1))[0],
+        product_spheres((4, 1))[0],
+        round_sphere(2, 1, 0.7),
+        round_sphere(3, 2, 0.6),
+    ]
+
+
+def test_catalog_jets_keep_the_contract_and_match_differences():
+    rng = np.random.default_rng(19)
+    for patch in _jet_families():
+        n, nd = patch.n, patch.ambient_dim
+        pts = sample_safe_points(patch, rng, 24)
+        jet = patch.exact_jet(pts)
+        assert [a.shape for a in jet] == [(24, nd), (24, n, nd), (24, n, n, nd)]
+        assert all(a.dtype == np.float64 for a in jet)
+        x, first, second = jet
+        fx, ffirst, fsecond = _fd_jets(patch.evaluator, pts, 1e-4)
+        assert np.abs(x - fx).max() <= 1e-15
+        assert np.abs(first - ffirst).max() <= 1e-7
+        assert np.abs(second - fsecond).max() <= 1e-6
+        # Leading batch axes are kept, with the same values.
+        lead = patch.exact_jet(pts.reshape(4, 6, n))
+        for got, want in zip(lead, jet):
+            assert got.shape == (4, 6) + want.shape[1:]
+            assert np.array_equal(got.reshape(want.shape), want)

@@ -251,3 +251,92 @@ def test_reused_parser_matches_fresh_parsers(capsys):
         with pytest.raises(SystemExit):
             main(argv[:1] + ["--no-such-flag"])
         capsys.readouterr()
+
+
+def _maps(value, drifts):
+    return [{"trial": t, "value": value, "drift": d} for t, d in enumerate(drifts)]
+
+
+_GOLDEN = [
+    (
+        ["energy", "willmore-torus:2,4", "--resolution", "12"],
+        {
+            "id": "willmore-torus:2,4",
+            "grid": [12, 12, 12, 12],
+            "value": 631.6546816697185,
+            "mode": "energy",
+            "convergence": [
+                {"resolution": 8, "value": 631.654681669715},
+                {"resolution": 12, "value": 631.6546816697185},
+            ],
+        },
+    ),
+    (
+        ["energy", "product-spheres:2,2,1", "--resolution", "8"],
+        {
+            "id": "product-spheres:2,2,1",
+            "grid": [8, 8, 8, 8, 8],
+            "value": 17859.615367852573,
+            "mode": "energy",
+            "convergence": [{"resolution": 8, "value": 17859.615367852573}],
+        },
+    ),
+    (
+        ["energy", "round-sphere:3,1,0.6", "--resolution", "8"],
+        {
+            "id": "round-sphere:3,1,0.6",
+            "grid": [8, 8, 8],
+            "value": 1.345464540173208e-43,
+            "mode": "energy",
+            "convergence": [{"resolution": 8, "value": 1.345464540173208e-43}],
+        },
+    ),
+    (
+        ["pinch", "veronese", "--resolution", "64"],
+        {
+            "id": "veronese",
+            "grid": [64, 64],
+            "value": -8.130376863758112e-15,
+            "mode": "simons",
+            "threshold": 1.3333333333333333,
+        },
+    ),
+    (
+        ["conformal-test", "clifford-torus:1,2", "--maps", "3", "--resolution", "32", "--seed", "0"],
+        {
+            "id": "clifford-torus:1,2",
+            "grid": [32, 32],
+            "base": 39.47841760435743,
+            "maps": _maps(39.47841760435743, [0.0, 0.0, 0.0]),
+            "max_drift": 0.0,
+            "mode": "conformal",
+        },
+    ),
+    (
+        ["el-check", "clifford-torus:1,2", "--surface", "--resolution", "64"],
+        {
+            "id": "clifford-torus:1,2",
+            "mode": "surface",
+            "grid": [64, 64],
+            "max_residual": 6.8669220565201e-14,
+            "willmore": True,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, payload", _GOLDEN, ids=[" ".join(a[:2]) for a, _ in _GOLDEN])
+def test_small_commands_print_their_golden_output(capsys, argv, payload):
+    # Byte-for-byte stdout of small quadrature commands, pinned so that a
+    # rewrite of the jets or the node layout cannot move a digit.
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_optimize_in_high_dimension_is_an_error_line(capsys):
+    # Vol(S^1999) once recursed about a thousand frames deep and ended
+    # in a RecursionError traceback; now the energy's overflow is named.
+    code, out, err = run(capsys, ["optimize", "1", "2000", "--assert"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from willmorelab.grids import AxisInterval, QuadratureGrid
+from willmorelab.immersion import _CHUNK
 
 
 def test_weights_sum_to_domain_volume():
@@ -94,3 +95,31 @@ def test_matches_domain():
 def test_axis_interval_validation():
     with pytest.raises(ValueError):
         AxisInterval(1.0, 0.0)
+
+
+def test_chunk_nodes_equal_slices_of_the_node_array():
+    axes = (
+        AxisInterval(0.0, math.pi, periodic=False),
+        AxisInterval(0.0, 2.0 * math.pi, periodic=True),
+        AxisInterval(-1.0, 1.0, periodic=False),
+    )
+    grid = QuadratureGrid.for_axes(axes, (40, 64, 9))
+    total = grid.node_total
+    ranges = [
+        (0, 1),
+        (0, _CHUNK),
+        (_CHUNK - 1, _CHUNK + 1),
+        (2 * _CHUNK - 5, 3 * _CHUNK + 7),
+        (total - 3, total),
+        (0, total),
+        (17, 17),
+    ]
+    for start, stop in ranges:
+        nodes = grid.nodes(start, stop)
+        assert "_points" not in grid.__dict__
+        assert nodes.shape == (stop - start, 3)
+    mesh = np.meshgrid(*grid.nodes_1d, indexing="ij")
+    reference = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    assert np.array_equal(grid.points(), reference)
+    for start, stop in ranges:
+        assert np.array_equal(grid.nodes(start, stop), grid.points()[start:stop])

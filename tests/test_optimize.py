@@ -26,6 +26,21 @@ def test_unit_sphere_volume_table():
         unit_sphere_volume(-1)
 
 
+def _recursive_sphere_volume(k):
+    # The former recursive definition, kept as the reference.
+    if k == 0:
+        return 2.0
+    if k == 1:
+        return 2.0 * math.pi
+    return 2.0 * math.pi / (k - 1) * _recursive_sphere_volume(k - 2)
+
+
+def test_unit_sphere_volume_loop_matches_the_recursion():
+    for k in range(41):
+        assert unit_sphere_volume(k) == _recursive_sphere_volume(k)
+    assert math.isfinite(unit_sphere_volume(5000))
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         TorusFamily(0, 2)

@@ -225,6 +225,24 @@ def test_energy_memory_follows_the_chunk_not_the_grid():
     assert peaks[1] - peaks[0] < 4 * 16 * 24**4
 
 
+def test_energy_memory_holds_no_node_array():
+    # The kernel gathers its nodes per chunk, so with no grid array
+    # built beforehand the peak grows by the per-node scalars alone
+    # (rho^2 and sqrt g), not by an M x n node array.
+    patch, _ = willmore_torus(2, 4)
+    peaks = []
+    for res in (12, 24):
+        grid = QuadratureGrid.for_patch(patch, res)
+        tracemalloc.start()
+        try:
+            willmore_energy(patch, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "_points" not in grid.__dict__
+    assert peaks[1] - peaks[0] < 24 * (24**4 - 12**4)
+
+
 def test_surface_residual_memory_follows_the_chunk_not_the_grid():
     # Peak allocation grows by a few scalars and one 2 x 2 metric per
     # node (about 11 doubles here), not by the frames and jets of one
