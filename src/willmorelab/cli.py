@@ -6,12 +6,16 @@ mathematical assertion fails (a residual that should vanish does not,
 an inequality is violated), and 2 on usage errors such as unknown
 example ids. Commands that produce tables (energy convergence, surface
 residual grids, optimizer profiles, property-suite summaries) also
-write them as CSV to --out when given.
+write them as CSV to --out when given. Each command hands :func:`_emit`
+its payload and a function that builds its table, and the table is
+built only for --format csv or --out: JSON output never pays for it.
 
 Randomized suites derive one child stream per trial from (seed, trial
 index), so identical seeds give byte-identical output regardless of how
-trials might be scheduled. :func:`run_suite` draws the trials in index
-order and checks each group of same-shaped trials in one array call.
+trials might be scheduled. :func:`run_suite` draws per trial only what
+that trial's stream yields, in index order; everything derived from the
+draws (symmetric tensors, trace splits, equality pairs) is built once
+per group of same-shaped trials, checked in one array call.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -120,14 +124,22 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit(args: argparse.Namespace, payload: dict, rows: list[list]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, rows: Callable[[], list[list]]) -> None:
+    """Print the payload, or the CSV table that ``rows()`` builds.
+
+    The table is built only to be printed (--format csv) or written
+    (--out), and before anything is printed, so a failure while building
+    it leaves stdout empty.
+    """
+    out = getattr(args, "out", None)
+    text = _csv_text(rows()) if args.format == "csv" or out else None
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(_csv_text(rows), end="")
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(rows))
+        print(text, end="")
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -151,8 +163,7 @@ def _fail(message: str) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     ids = catalog_ids()
     payload = {"command": "catalog", "ids": ids}
-    rows = [["id"]] + [[i] for i in ids]
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [["id"]] + [[i] for i in ids])
     return 0
 
 
@@ -177,17 +188,15 @@ def _cmd_shape(args: argparse.Namespace) -> int:
     sd = patch.exact_shape(point, step=config.fd_step)
     payload = {"id": entry.example_id, "point": [float(v) for v in point]}
     payload.update(sd.to_json_dict())
-    rows = [["key", "value"]]
-    rows.append(["n", sd.n])
-    rows.append(["p", sd.p])
-    rows.append(["H", sd.mean_norm])
-    rows.append(["S", sd.S])
-    rows.append(["rho_sq", sd.rho_sq])
-    for a in range(sd.p):
-        mat = sd.second_fundamental.matrices[a].data
-        for i in range(sd.n):
-            for j in range(sd.n):
-                rows.append([f"h[{a}][{i}][{j}]", float(mat[i, j])])
+
+    def rows():
+        table = [["key", "value"], ["n", sd.n], ["p", sd.p], ["H", sd.mean_norm],
+                 ["S", sd.S], ["rho_sq", sd.rho_sq]]
+        for a, mat in enumerate(sd.second_fundamental.matrices):
+            for (i, j), v in np.ndenumerate(mat.data):
+                table.append([f"h[{a}][{i}][{j}]", float(v)])
+        return table
+
     _emit(args, payload, rows)
     return 0
 
@@ -220,8 +229,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         "mode": "energy",
         "convergence": [{"resolution": r, "value": v} for r, v in table],
     }
-    rows = [["resolution", "value"]] + [[r, v] for r, v in table]
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [["resolution", "value"]] + [[r, v] for r, v in table])
     if args.check:
         drift = abs(table[-1][1] - table[-2][1])
         scale = max(1.0, abs(value))
@@ -247,11 +255,9 @@ def _cmd_el_check(args: argparse.Namespace) -> int:
             "max_residual": res.max_norm,
             "willmore": bool(flat_ok),
         }
-        rows = [["i", "j", "residual"]]
-        for i in range(res.values.shape[0]):
-            for j in range(res.values.shape[1]):
-                rows.append([i, j, float(res.values[i, j])])
-        _emit(args, payload, rows)
+        _emit(args, payload, lambda: [["i", "j", "residual"]] + [
+            [i, j, float(v)] for (i, j), v in np.ndenumerate(res.values)
+        ])
         if args.check and not flat_ok:
             return _fail(
                 f"surface residual {res.max_norm:.3e} exceeds {config.tolerance:.1e}"
@@ -267,11 +273,9 @@ def _cmd_el_check(args: argparse.Namespace) -> int:
         "scale": residual.scale,
         "willmore": bool(is_willmore),
     }
-    rows = [["alpha", "residual"]] + [
+    _emit(args, payload, lambda: [["alpha", "residual"]] + [
         [a, float(v)] for a, v in enumerate(residual.values)
-    ]
-    rows.append(["norm", residual.norm])
-    _emit(args, payload, rows)
+    ] + [["norm", residual.norm]])
     if args.check and not is_willmore:
         return _fail(f"residual norm {residual.norm:.3e} exceeds {config.tolerance:.1e}")
     return 0
@@ -290,8 +294,7 @@ def _cmd_pinch(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "threshold": pinching_threshold(patch.n, patch.p, args.mode),
     }
-    rows = [["key", "value"], ["value", value], ["mode", args.mode]]
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [["key", "value"], ["value", value], ["mode", args.mode]])
     if args.check and value > config.tolerance:
         return _fail(
             f"pinching integral {value:.3e} is positive beyond {config.tolerance:.1e}"
@@ -300,17 +303,15 @@ def _cmd_pinch(args: argparse.Namespace) -> int:
 
 
 def _draw_trial(name: str, rng: np.random.Generator):
-    """Group key and arrays of one trial, in the stream's fixed draw order."""
+    """Group key and draws of one trial, in the stream's fixed draw order."""
     if name == "commutator_bound":
         n = int(rng.integers(2, 7))
         return n, (random_symmetric(n, rng), random_symmetric(n, rng))
     if name == "witness_recovery":
         n = int(rng.integers(2, 7))
-        lam = float(rng.uniform(0.2, 2.0))
-        mu = float(rng.uniform(0.2, 2.0))
-        a0, b0 = canonical_pair(n)
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        return n, (q @ (lam * a0.data) @ q.T, q @ (mu * b0.data) @ q.T)
+        lam = rng.uniform(0.2, 2.0)
+        mu = rng.uniform(0.2, 2.0)
+        return n, (lam, mu, rng.normal(size=(n, n)))
     n = int(rng.integers(2, 6))
     p = int(rng.integers(1, 4))
     if name == "family_bound":
@@ -325,14 +326,18 @@ def _check_group(name: str, stacks: list[np.ndarray]) -> np.ndarray:
     if name == "family_bound":
         return check_li_inequality(*stacks)
     if name == "witness_recovery":
-        return equality_witness(*stacks)[3]
-    residuals = []
-    for entries in stacks[0]:
-        p, n = entries.shape[:2]
-        tensor = SymTensor3(n, p, entries)
-        _, _, residual = f_tensor_decompose(tensor)
-        residuals.append(residual / (1.0 + tensor.norm_sq()))
-    return np.array(residuals)
+        # Conjugate (lam A0, mu B0) by the Q factor of each trial's draw.
+        lam, mu, draws = stacks
+        a0, b0 = canonical_pair(draws.shape[-1])
+        q, _ = np.linalg.qr(draws)
+        qt = np.swapaxes(q, -1, -2)
+        a = q @ (lam[:, None, None] * a0.data) @ qt
+        b = q @ (mu[:, None, None] * b0.data) @ qt
+        return equality_witness(a, b)[3]
+    p, n = stacks[0].shape[1:3]
+    tensor = SymTensor3(n, p, stacks[0])
+    _, _, residual = f_tensor_decompose(tensor)
+    return residual / (1.0 + tensor.norm_sq())
 
 
 def run_suite(name: str, trials: int, seed: int) -> dict:
@@ -383,10 +388,14 @@ def _cmd_matrix_props(args: argparse.Namespace) -> int:
         "suites": suites,
         "violations": total_violations,
     }
-    rows = [["suite", "trials", "worst", "violations"]]
-    for s in suites:
-        worst = s.get("min_slack", s.get("max_residual"))
-        rows.append([s["name"], s["trials"], float(worst), s["violations"]])
+
+    def rows():
+        table = [["suite", "trials", "worst", "violations"]]
+        for s in suites:
+            worst = s.get("min_slack", s.get("max_residual"))
+            table.append([s["name"], s["trials"], float(worst), s["violations"]])
+        return table
+
     _emit(args, payload, rows)
     if total_violations:
         return _fail(f"{total_violations} randomized trials violated a bound")
@@ -429,10 +438,9 @@ def _cmd_conformal_test(args: argparse.Namespace) -> int:
         "max_drift": max_drift,
         "mode": "conformal",
     }
-    rows = [["map", "energy", "drift"], ["base", base, 0.0]]
-    for r in reports:
-        rows.append([r["trial"], r["value"], r["drift"]])
-    _emit(args, payload, rows)
+    _emit(args, payload, lambda: [["map", "energy", "drift"], ["base", base, 0.0]] + [
+        [r["trial"], r["value"], r["drift"]] for r in reports
+    ])
     if len(reports) < args.maps:
         print("error: could not draw enough pole-safe maps", file=sys.stderr)
         return 2
@@ -457,11 +465,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "second_difference": second_difference(fam, radius),
         "mode": "optimize",
     }
-    profile = family_profile(fam, samples=args.samples)
-    rows = [["r", "energy", "derivative"]]
-    for r, w, dw in profile:
-        rows.append([float(r), float(w), float(dw)])
-    _emit(args, payload, rows)
+    # family_profile refuses this too, but JSON output never calls it.
+    if args.samples < 2:
+        raise ValueError("need at least two samples")
+    _emit(args, payload, lambda: [["r", "energy", "derivative"]] + [
+        [float(r), float(w), float(dw)] for r, w, dw in family_profile(fam, samples=args.samples)
+    ])
     if args.check and abs(radius - balanced) > 1e-6:
         return _fail(
             f"critical radius {radius!r} differs from the balanced radius "

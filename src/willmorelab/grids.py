@@ -5,8 +5,10 @@ periodic trapezoidal rule (spectrally accurate for smooth periodic
 integrands); the half-cell offset keeps nodes off chart poles on doubled
 spherical charts. Non-periodic axes use Gauss-Legendre nodes, which are
 strictly interior and spectrally accurate for integrands analytic on the
-closed interval. No adaptive rules anywhere, so a grid is a pure
-function of (domain, resolution) and results are bit-reproducible.
+closed interval; a Gauss-Legendre axis takes at most
+:data:`GAUSS_LEGENDRE_MAX` nodes. No adaptive rules anywhere, so a grid
+is a pure function of (domain, resolution) and results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["AxisInterval", "QuadratureGrid"]
+__all__ = ["AxisInterval", "QuadratureGrid", "GAUSS_LEGENDRE_MAX"]
 
 _WEIGHT_SUM_TOL = 1e-12
+# Largest Gauss-Legendre rule: leggauss(count) builds a dense count x
+# count companion matrix (128 MiB here, several seconds of eigensolve),
+# so a larger count is refused before it is built.
+GAUSS_LEGENDRE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -67,13 +73,18 @@ class QuadratureGrid:
             raise ValueError("need one resolution per axis")
         nodes_1d = []
         weights_1d = []
-        for ax, cnt in zip(axes, counts):
+        for a, (ax, cnt) in enumerate(zip(axes, counts)):
             if cnt < 2:
                 raise ValueError("resolution must be at least 2 per axis")
             if ax.periodic:
                 h = ax.length / cnt
                 nodes = ax.lo + (np.arange(cnt) + 0.5) * h
                 weights = np.full(cnt, h)
+            elif cnt > GAUSS_LEGENDRE_MAX:
+                raise ValueError(
+                    f"{cnt} nodes on axis {a} exceed the Gauss-Legendre cap of "
+                    f"{GAUSS_LEGENDRE_MAX} nodes per bounded axis"
+                )
             else:
                 x, w = leggauss(cnt)
                 half = 0.5 * ax.length

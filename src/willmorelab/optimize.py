@@ -18,7 +18,7 @@ tighten the bracket, not the physical accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -66,12 +66,16 @@ class TorusFamily:
     passes, moves out to halfway between the balanced radius and the end
     of (0, 1), so the window always brackets the critical point. Of
     1 <= m < n <= 12, only (1, 11) and (1, 12) need this.
+
+    ``volumes`` holds (Vol(S^m), Vol(S^{n-m})), computed once here
+    rather than at every energy evaluation.
     """
 
     m: int
     n: int
     r_min: Optional[float] = None
     r_max: Optional[float] = None
+    volumes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n - 1:
@@ -89,6 +93,9 @@ class TorusFamily:
             )
         if not 0.0 < self.r_min < self.r_max < 1.0:
             raise ValueError("need 0 < r_min < r_max < 1")
+        object.__setattr__(
+            self, "volumes", (unit_sphere_volume(self.m), unit_sphere_volume(self.n - self.m))
+        )
 
     def _check_radius(self, r: float) -> None:
         if not self.r_min < r < self.r_max:
@@ -127,7 +134,8 @@ def family_energy(fam: TorusFamily, r: float) -> float:
     mean = (m * k1 + (n - m) * k2) / n
     s_total = m * k1 * k1 + (n - m) * k2 * k2
     rho_sq = s_total - n * mean * mean
-    volume = unit_sphere_volume(m) * r**m * unit_sphere_volume(n - m) * s ** (n - m)
+    vol_m, vol_rest = fam.volumes
+    volume = vol_m * r**m * vol_rest * s ** (n - m)
     try:
         return rho_sq ** (n / 2.0) * volume
     except OverflowError:

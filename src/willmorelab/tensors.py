@@ -14,6 +14,7 @@ the classifier in :mod:`willmorelab.willmore`:
 The inequality kernels take the validating containers below or plain
 arrays, and plain arrays may stack many trials along leading axes, so a
 property suite checks a whole group of same-shaped trials in one call.
+:class:`SymTensor3` and :func:`f_tensor_decompose` stack the same way.
 The random draws return plain arrays: they are symmetric and trace-free
 by construction.
 
@@ -151,9 +152,11 @@ class SigmaMatrix:
 class SymTensor3:
     """Fully symmetric 3-tensor t^a_{ijk} for each of p normal slots.
 
-    Symmetry is enforced by storage: the constructor reads each entry
-    from the sorted index triple of the input, so permuted indices agree
-    exactly.
+    ``entries`` has shape (..., p, n, n, n): leading axes stack many
+    tensors of one shape, so a property suite builds a whole group of
+    trials at once. Symmetry is enforced by storage: the constructor
+    reads each entry from the sorted index triple of the input, so
+    permuted indices agree exactly.
     """
 
     n: int
@@ -161,19 +164,34 @@ class SymTensor3:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.shape != (self.p, self.n, self.n, self.n):
-            raise ValueError(
-                f"expected shape {(self.p, self.n, self.n, self.n)}, got {arr.shape}"
-            )
+        arr = np.asarray(self.entries, dtype=float)
+        shape = (self.p, self.n, self.n, self.n)
+        if arr.shape[-4:] != shape:
+            raise ValueError(f"expected shape (..., {', '.join(map(str, shape))}), "
+                             f"got {arr.shape}")
         i, j, k = np.indices((self.n, self.n, self.n))
         idx = np.sort(np.stack([i, j, k]), axis=0)
-        canon = arr[:, idx[0], idx[1], idx[2]]
+        canon = arr[..., idx[0], idx[1], idx[2]]
         canon.flags.writeable = False
         object.__setattr__(self, "entries", canon)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(self.entries * self.entries))
+    def norm_sq(self):
+        """|t|^2: a float, or an array over the leading axes."""
+        return _item_sums(self.entries * self.entries, 4)
+
+
+def _item_sums(arr: np.ndarray, item_ndim: int):
+    """Sum over the trailing ``item_ndim`` axes, one reduction per item.
+
+    A reduction over those axes of the whole stack can round differently
+    in the last bit, so each item keeps the summation order of a lone
+    array.
+    """
+    if arr.ndim == item_ndim:
+        return float(np.sum(arr))
+    lead = arr.shape[: arr.ndim - item_ndim]
+    items = arr.reshape((-1,) + arr.shape[arr.ndim - item_ndim :])
+    return np.array([np.add.reduce(item, axis=None) for item in items]).reshape(lead)
 
 
 def traceless_part(family: ShapeFamily) -> tuple[TraceFreeFamily, SigmaMatrix]:
@@ -279,7 +297,7 @@ def check_li_inequality(family):
     return float(slack) if slack.ndim == 0 else slack
 
 
-def f_tensor_decompose(t: SymTensor3) -> tuple[SymTensor3, np.ndarray, float]:
+def f_tensor_decompose(t: SymTensor3):
     """Remove the trace part of a symmetric 3-tensor.
 
     With H^a_i = (1/n) sum_k t^a_{kki}, the trace-free part is
@@ -289,22 +307,25 @@ def f_tensor_decompose(t: SymTensor3) -> tuple[SymTensor3, np.ndarray, float]:
     and the split is orthogonal:
     |F|^2 = |t|^2 - 3 n^2/(n+2) * sum |H^a_i|^2. Returns
     ``(F, H, identity_residual)`` where the residual measures how far the
-    computed norms are from that identity (roundoff only).
+    computed norms are from that identity (roundoff only). A stacked
+    tensor is split in one pass: F and H keep its leading axes and the
+    residual is an array over them, equal bit for bit to splitting each
+    tensor alone.
     """
     n, p = t.n, t.p
     arr = t.entries
-    hvec = np.einsum("akki->ai", arr) / n
+    hvec = np.einsum("...akki->...ai", arr) / n
     eye = np.eye(n)
     trace_part = (
-        np.einsum("ai,jk->aijk", hvec, eye)
-        + np.einsum("aj,ik->aijk", hvec, eye)
-        + np.einsum("ak,ij->aijk", hvec, eye)
+        np.einsum("...ai,jk->...aijk", hvec, eye)
+        + np.einsum("...aj,ik->...aijk", hvec, eye)
+        + np.einsum("...ak,ij->...aijk", hvec, eye)
     )
     f = arr - (n / (n + 2.0)) * trace_part
     f_tensor = SymTensor3(n, p, f)
     t_norm = t.norm_sq()
     f_norm = f_tensor.norm_sq()
-    h_norm = float(np.sum(hvec * hvec))
+    h_norm = _item_sums(hvec * hvec, 2)
     residual = abs(f_norm - (t_norm - 3.0 * n * n / (n + 2.0) * h_norm))
     return f_tensor, hvec, residual
 
@@ -325,7 +346,12 @@ def random_shape_family(n: int, p: int, rng: np.random.Generator) -> ShapeFamily
 
 
 def random_trace_free_family(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """(p, n, n) array: symmetrized uniform entries with the trace projected out."""
-    eye = np.eye(n)
-    mats = [random_symmetric(n, rng) for _ in range(p)]
-    return np.stack([m - (np.trace(m) / n) * eye for m in mats])
+    """(p, n, n) array: symmetrized uniform entries with the trace projected out.
+
+    One (p, n, n) draw takes the same stream as p draws of
+    :func:`random_symmetric`, and gives the same family.
+    """
+    m = rng.uniform(-1.0, 1.0, size=(p, n, n))
+    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
+    trace = np.trace(sym, axis1=-2, axis2=-1)
+    return sym - (trace / n)[:, None, None] * np.eye(n)

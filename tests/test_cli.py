@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +341,88 @@ def test_optimize_in_high_dimension_is_an_error_line(capsys):
     code, out, err = run(capsys, ["optimize", "1", "2000", "--assert"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SEED_ONE = {
+    "command": "matrix-props",
+    "seed": 1,
+    "trials": 1000,
+    "suites": [
+        {"name": "commutator_bound", "trials": 1000,
+         "min_slack": 0.0037515334620669906, "violations": 0},
+        {"name": "family_bound", "trials": 1000,
+         "min_slack": 3.2500180412116294e-06, "violations": 0},
+        {"name": "trace_split", "trials": 1000,
+         "max_residual": 5.246321863953811e-16, "violations": 0},
+        {"name": "witness_recovery", "trials": 1000,
+         "max_residual": 3.1134041164728314e-15, "violations": 0},
+    ],
+    "violations": 0,
+}
+
+
+def test_matrix_props_seed_one_prints_its_golden_output(capsys):
+    code, out, err = run(capsys, ["matrix-props", "--trials", "1000", "--seed", "1"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_SEED_ONE, indent=2) + "\n"
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# CSV tables pinned byte for byte: tests/golden/<name>.csv.
+_CSV_GOLDEN = {
+    "catalog": ["catalog"],
+    "shape": ["shape", "clifford-torus:1,2"],
+    "energy": ["energy", "clifford-torus:1,2", "--resolution", "16"],
+    "el_check_surface": ["el-check", "clifford-torus:1,2", "--surface", "--resolution", "16"],
+    "el_check_iso": ["el-check", "willmore-torus:1,3"],
+    "pinch": ["pinch", "veronese", "--resolution", "16"],
+    "conformal_test": ["conformal-test", "clifford-torus:1,2", "--maps", "2",
+                       "--resolution", "16"],
+    "matrix_props": ["matrix-props", "--trials", "20", "--seed", "3"],
+    "optimize": ["optimize", "1", "3", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_GOLDEN))
+def test_csv_tables_print_and_write_their_golden_bytes(tmp_path, capsys, name):
+    want = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    argv = _CSV_GOLDEN[name]
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == want
+    target = tmp_path / "table.csv"
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert (code, err) == (0, "")
+    json.loads(out)
+    assert target.read_bytes() == want
+
+
+def test_json_output_builds_no_table(monkeypatch, capsys):
+    commands = (
+        ["optimize", "1", "3"],
+        ["el-check", "clifford-torus:1,2", "--surface", "--resolution", "32"],
+    )
+    want = [run(capsys, argv) for argv in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSV table was built for JSON output")
+
+    monkeypatch.setattr(cli, "family_profile", refuse)
+    monkeypatch.setattr(cli, "_csv_text", refuse)
+    for argv, expected in zip(commands, want):
+        assert run(capsys, argv) == expected
+
+
+def test_optimize_refuses_one_sample_in_both_formats(capsys):
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, ["optimize", "1", "3", "--samples", "1", "--format", fmt])
+        assert (code, out, err) == (2, "", "error: need at least two samples\n")
+
+
+def test_gauss_legendre_count_above_the_cap_is_an_error_line(capsys):
+    # Once a 728 TiB allocation traceback from the companion matrix.
+    code, out, err = run(capsys, ["pinch", "veronese", "--resolution", "10000000"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "10000000" in err and "axis" in err

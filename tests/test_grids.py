@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from willmorelab import grids
 from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import _CHUNK
 
@@ -123,3 +124,30 @@ def test_chunk_nodes_equal_slices_of_the_node_array():
     assert np.array_equal(grid.points(), reference)
     for start, stop in ranges:
         assert np.array_equal(grid.nodes(start, stop), grid.points()[start:stop])
+
+
+def test_gauss_legendre_count_above_the_cap_is_refused_before_building(monkeypatch):
+    def refuse(count):
+        raise AssertionError(f"leggauss({count}) was called")
+
+    monkeypatch.setattr(grids, "leggauss", refuse)
+    axes = (AxisInterval(0.0, 2.0 * math.pi, periodic=True), AxisInterval(0.0, 1.0))
+    cap = grids.GAUSS_LEGENDRE_MAX
+    with pytest.raises(ValueError, match=f"{cap + 1} nodes on axis 1"):
+        QuadratureGrid.for_axes(axes, (8, cap + 1))
+    # Periodic axes build no companion matrix and have no cap.
+    assert QuadratureGrid.for_axes(axes[:1], (cap + 1,)).counts == (cap + 1,)
+
+
+def test_gauss_legendre_cap_itself_builds(monkeypatch):
+    # The real rule at the cap takes seconds; the stub only shows the
+    # count gets through to it.
+    asked = []
+
+    def stub(count):
+        asked.append(count)
+        return np.zeros(count), np.full(count, 2.0 / count)
+
+    monkeypatch.setattr(grids, "leggauss", stub)
+    grid = QuadratureGrid.for_axes((AxisInterval(0.0, 1.0),), (grids.GAUSS_LEGENDRE_MAX,))
+    assert asked == [grids.GAUSS_LEGENDRE_MAX] == list(grid.counts)

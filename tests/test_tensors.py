@@ -239,3 +239,36 @@ def test_trial_rng_reproducibility():
     c = trial_rng(5, 18).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _per_item(stack, lead):
+    """The (p, n, n, n) items of a stack with ``lead`` leading axes."""
+    return stack.reshape((-1,) + stack.shape[len(lead):])
+
+
+def test_stacked_sym_tensor_and_trace_split_match_per_item_calls():
+    rng = np.random.default_rng(50)
+    lead = (3, 4)
+    for n in range(2, 6):
+        for p in range(1, 4):
+            raw = rng.uniform(-1.0, 1.0, size=lead + (p, n, n, n))
+            stacked = SymTensor3(n, p, raw)
+            f, hvec, residual = f_tensor_decompose(stacked)
+            norm = stacked.norm_sq()
+            assert stacked.entries.shape == raw.shape
+            assert residual.shape == norm.shape == lead
+            items = [SymTensor3(n, p, item) for item in _per_item(raw, lead)]
+            for k, item in enumerate(items):
+                f1, h1, r1 = f_tensor_decompose(item)
+                assert np.array_equal(_per_item(stacked.entries, lead)[k], item.entries)
+                assert np.array_equal(_per_item(f.entries, lead)[k], f1.entries)
+                assert np.array_equal(hvec.reshape((-1, p, n))[k], h1)
+                assert residual.reshape(-1)[k] == r1
+                assert norm.reshape(-1)[k] == item.norm_sq()
+                assert f.norm_sq().reshape(-1)[k] == f1.norm_sq()
+
+
+def test_sym_tensor_rejects_a_mismatched_shape():
+    with pytest.raises(ValueError):
+        SymTensor3(3, 2, np.zeros((2, 3, 3, 2)))
+
