@@ -102,8 +102,8 @@ class RunConfig:
             raise UsageError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise UsageError("seed must fit in 64 unsigned bits")
-        if self.tolerance <= 0.0:
-            raise UsageError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise UsageError("tolerance must be positive and finite")
         if self.output_format not in ("json", "csv"):
             raise UsageError("format must be json or csv")
 
@@ -174,6 +174,8 @@ def _parse_point(text: str, expected: int) -> np.ndarray:
         raise UsageError(f"cannot parse point {text!r}") from exc
     if len(values) != expected:
         raise UsageError(f"point needs {expected} coordinates, got {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"point coordinates must be finite, got {text!r}")
     return np.array(values)
 
 

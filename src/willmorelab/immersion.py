@@ -16,16 +16,17 @@ eigenvalues of sum_a (h^a)^2, the metric). The one exception is
 codimension 1, where the unit normal is fixed by orientation and varies
 continuously along the chart.
 
-Two paths share the same guards (interior margin, unit sphere, rank):
+Two paths share one core, ``_second_form`` (the guards, a Gram-Schmidt
+frame, and h_ij as ambient normal vectors):
 
-* :func:`shape_batch` builds the frames above. Only callers that need a
+* :func:`shape_batch` adds the frames above. Only callers that need a
   frame use it: :func:`shape_data` (the ``shape`` command and the
   Veronese reference point) and the surface residual, whose signed mean
   curvature needs the oriented normal in codimension 1.
-* The frame-free kernel ``_integrand_fields`` gives rho^2, sqrt g and,
-  on request, g^{-1} per point, walking the points in fixed chunks and
-  gathering a grid's nodes chunk by chunk. The energy, pinching and
-  grid integrals, :func:`laplace_beltrami` and
+* The frame-free kernel ``_integrand_fields`` reduces h to rho^2 and
+  gives sqrt g and, on request, g^{-1} per point, walking the points in
+  fixed chunks and gathering a grid's nodes chunk by chunk. The energy,
+  pinching and grid integrals, :func:`laplace_beltrami` and
   :func:`grid_gradient_pairing` use it, so their memory follows the
   chunk size plus the per-node scalars, with no node array.
 
@@ -341,87 +342,6 @@ def _checked_domain(patch: ImmersionPatch, columns, step: float, use_exact: bool
     return exact
 
 
-def _checked_jets(patch: ImmersionPatch, pts: np.ndarray, step: float, exact: bool):
-    """(x, first, second) at the points, once x is checked to lie on the sphere."""
-    if exact:
-        x, first, second = patch.exact_jet(pts)
-        x = np.asarray(x, dtype=float)
-        first = np.asarray(first, dtype=float)
-        second = np.asarray(second, dtype=float)
-    else:
-        x, first, second = _fd_jets(patch.evaluator, pts, step)
-    unit_err = np.max(np.abs(np.einsum("mj,mj->m", x, x) - 1.0))
-    if not unit_err <= UNIT_TOL:
-        raise ValueError(f"patch image leaves the unit sphere by {unit_err:.3e}")
-    return x, first, second
-
-
-def shape_batch(
-    patch: ImmersionPatch,
-    points,
-    step: float = 1e-4,
-    use_exact: bool = True,
-) -> ShapeBatch:
-    """Shape data for a batch of chart points; see :func:`shape_data`."""
-    pts, exact = _chart_points(patch, points, step, use_exact)
-    x, first, second = _checked_jets(patch, pts, step, exact)
-
-    jac = first.transpose(0, 2, 1)  # (M, N, n)
-    q, r = np.linalg.qr(jac)
-    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    q = q * sign[:, None, :]
-    r = r * sign[:, :, None]
-    smin = np.linalg.svd(r, compute_uv=False)[:, -1]
-    bad = np.nonzero(smin < RANK_TOL)[0]
-    if bad.size:
-        raise RankError(int(bad[0]), smin[bad[0]])
-    metric = np.einsum("mja,mjb->mab", jac, jac)
-    sqrt_g = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)
-
-    basis = np.concatenate([q, x[:, :, None]], axis=2)
-    normal = _complete_normals(basis, patch.p)
-    if patch.p == 1:
-        # Codimension one: the normal line is unique, only its sign is
-        # free. A patch-supplied reference field gives a globally smooth
-        # gauge; otherwise fall back to the chart orientation, which is
-        # continuous wherever the chart does not fold.
-        if patch.normal_hint is not None:
-            ref = np.asarray(patch.normal_hint(pts), dtype=float)
-            dots = np.einsum("mj,mj->m", normal[:, :, 0], ref)
-            if np.any(np.abs(dots) < 1e-8):
-                raise ValueError("normal_hint is orthogonal to the normal line")
-            flip = np.sign(dots)
-        else:
-            full = np.concatenate([basis, normal], axis=2)
-            flip = np.sign(np.linalg.det(full))
-        normal = normal * flip[:, None, None]
-
-    b_coord = np.einsum("mabj,mjp->mpab", second, normal)
-    rt = r.transpose(0, 2, 1)[:, None]
-    half = np.linalg.solve(rt, b_coord)
-    h = np.linalg.solve(rt, half.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-    h = 0.5 * (h + h.transpose(0, 1, 3, 2))
-
-    mean_vector = np.einsum("mpii->mp", h) / patch.n
-    mean_norm = np.linalg.norm(mean_vector, axis=1)
-    s_val = np.einsum("mpij,mpij->m", h, h)
-    rho_sq = s_val - patch.n * mean_norm**2
-    return ShapeBatch(
-        points=pts,
-        x=x,
-        tangent=q,
-        normal=normal,
-        metric=metric,
-        sqrt_g=sqrt_g,
-        h=h,
-        mean_vector=mean_vector,
-        mean_norm=mean_norm,
-        S=s_val,
-        rho_sq=rho_sq,
-    )
-
-
 def _tangent_gram_schmidt(first: np.ndarray):
     """Modified Gram-Schmidt on the coordinate derivatives of one chunk.
 
@@ -470,6 +390,98 @@ def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
         raise RankError(offset + int(unclear[bad[0]]), smin[bad[0]])
 
 
+def _jets(patch: ImmersionPatch, pts: np.ndarray, step: float, exact: bool):
+    """(x, first, second) at the points: exact jets, or central differences."""
+    if not exact:
+        return _fd_jets(patch.evaluator, pts, step)
+    return tuple(np.asarray(j, dtype=float) for j in patch.exact_jet(pts))
+
+
+def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, offset: int):
+    """Unit-sphere and rank guards, Gram-Schmidt and h on a chunk of jets.
+
+    Returns the tangent frame (n, N, c), ``coef`` (c, n, n) with row a
+    holding column a of R^{-1}, sqrt g and h (c, n * n, N), whose row
+    a n + b is the normal part of sum_kl R^{-1}_ka R^{-1}_lb x_kl: the
+    second fundamental form in the tangent frame as ambient vectors.
+    ``offset`` shifts rank-error indices.
+    """
+    unit_err = np.max(np.abs(np.einsum("mj,mj->m", x, x) - 1.0))
+    if not unit_err <= UNIT_TOL:
+        raise ValueError(f"patch image leaves the unit sphere by {unit_err:.3e}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tangent, r_inv, sqrt_g = _tangent_gram_schmidt(first)
+    _check_rank(first, r_inv, offset)
+    # Points first from here: the contractions are batched matmuls
+    # over tiny matrices, fastest on contiguous operands.
+    c, n, nd = first.shape
+    coef = np.ascontiguousarray(r_inv.transpose(2, 1, 0))
+    h = (coef @ second.reshape(c, n, n * nd)).reshape(c, n, n, nd)
+    h = (coef[:, None] @ h).reshape(c, n * n, nd)
+    frame = np.concatenate([tangent, x.T[None]])  # (n + 1, N, c)
+    cols = np.ascontiguousarray(frame.transpose(2, 1, 0))
+    rows = np.ascontiguousarray(frame.transpose(2, 0, 1))
+    h -= (h @ cols) @ rows
+    return tangent, coef, sqrt_g, h
+
+
+def shape_batch(
+    patch: ImmersionPatch,
+    points,
+    step: float = 1e-4,
+    use_exact: bool = True,
+) -> ShapeBatch:
+    """Shape data for a batch of chart points; see :func:`shape_data`.
+
+    :func:`_second_form`, then the normal frame and h^a_ij = <h_ij, nu_a>.
+    """
+    pts, exact = _chart_points(patch, points, step, use_exact)
+    x, first, second = _jets(patch, pts, step, exact)
+    tangent, _, sqrt_g, h = _second_form(x, first, second, 0)
+    n = patch.n
+    # One Gram-Schmidt pass is orthonormal only up to the conditioning of
+    # the chart; a second pass is enough, and its R^{-1} moves h along.
+    tangent, r_inv, _ = _tangent_gram_schmidt(tangent.transpose(2, 0, 1))
+    coef = r_inv.transpose(2, 1, 0)[:, None]
+    tangent = tangent.transpose(2, 1, 0)  # (M, N, n)
+    basis = np.concatenate([tangent, x[:, :, None]], axis=2)
+    normal = _complete_normals(basis, patch.p)
+    if patch.p == 1:
+        # Codimension one: the normal line is unique, only its sign is
+        # free. A patch-supplied reference field gives a globally smooth
+        # gauge; otherwise fall back to the chart orientation, which is
+        # continuous wherever the chart does not fold.
+        if patch.normal_hint is not None:
+            ref = np.asarray(patch.normal_hint(pts), dtype=float)
+            dots = np.einsum("mj,mj->m", normal[:, :, 0], ref)
+            if np.any(np.abs(dots) < 1e-8):
+                raise ValueError("normal_hint is orthogonal to the normal line")
+            flip = np.sign(dots)
+        else:
+            full = np.concatenate([basis, normal], axis=2)
+            flip = np.sign(np.linalg.det(full))
+        normal = normal * flip[:, None, None]
+    h = np.einsum("mkj,mjp->mpk", h, normal).reshape(len(pts), -1, n, n)
+    h = coef @ h @ coef.transpose(0, 1, 3, 2)
+
+    mean_vector = np.einsum("mpii->mp", h) / n
+    mean_norm = np.linalg.norm(mean_vector, axis=1)
+    s_val = np.einsum("mpij,mpij->m", h, h)
+    return ShapeBatch(
+        points=pts,
+        x=x,
+        tangent=tangent,
+        normal=normal,
+        metric=np.einsum("maj,mbj->mab", first, first),
+        sqrt_g=sqrt_g,
+        h=h,
+        mean_vector=mean_vector,
+        mean_norm=mean_norm,
+        S=s_val,
+        rho_sq=s_val - n * mean_norm**2,
+    )
+
+
 def _integrand_fields(
     patch: ImmersionPatch,
     nodes,
@@ -479,17 +491,12 @@ def _integrand_fields(
 ):
     """Per-point (rho^2, sqrt g), or (rho^2, sqrt g, g^{-1}), without frames.
 
-    The integrands need only the metric and the normal part of the
-    second derivatives, B_ij = x_ij - P_T x_ij - <x_ij, x> x. Points are
-    taken in chunks of ``_CHUNK``, so memory follows the chunk size plus
-    one scalar per point (and one n x n matrix with ``inverse_metric``).
-    Per chunk, Gram-Schmidt gives the tangent frame and R^{-1}, so
-    g^{-1} = R^{-1} R^{-T} and h_ij = sum_kl R^{-1}_ki R^{-1}_lj B_kl is
-    the second fundamental form in that frame as ambient vectors;
+    :func:`_second_form` runs on chunks of ``_CHUNK`` points, so memory
+    follows the chunk size plus one scalar per point (and one n x n
+    matrix with ``inverse_metric``). g^{-1} = R^{-1} R^{-T}, and
     rho^2 = |h - (trace h / n) I|^2 is a sum of squares, never negative.
-    No normal frame, sign gauge or general solve is built. The interior,
-    unit-sphere and rank guards of :func:`shape_batch` apply, with the
-    same exception types.
+    No normal frame or sign gauge is built; the guards are those of
+    :func:`shape_batch`, with the same exception types.
 
     ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
     chunk at a time (the interior check runs on its 1-d nodes), or an
@@ -508,20 +515,9 @@ def _integrand_fields(
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
         chunk = slice(start, stop)
-        x, first, second = _checked_jets(patch, take(start, stop), step, exact)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tangent, r_inv, sqrt_g[chunk] = _tangent_gram_schmidt(first)
-        _check_rank(first, r_inv, start)
-        # Points first from here: the contractions are batched matmuls
-        # over tiny matrices, fastest on contiguous operands.
-        c, _, nd = first.shape
-        coef = np.ascontiguousarray(r_inv.transpose(2, 1, 0))  # row a: R^{-1} column a
-        h = (coef @ second.reshape(c, n, n * nd)).reshape(c, n, n, nd)
-        h = (coef[:, None] @ h).reshape(c, n * n, nd)
-        frame = np.concatenate([tangent, x.T[None]])  # (n + 1, N, c)
-        cols = np.ascontiguousarray(frame.transpose(2, 1, 0))
-        rows = np.ascontiguousarray(frame.transpose(2, 0, 1))
-        h -= (h @ cols) @ rows
+        x, first, second = _jets(patch, take(start, stop), step, exact)
+        _, coef, sqrt_g[chunk], h = _second_form(x, first, second, start)
+        c, _, nd = h.shape
         # Trace-free part first: no cancellation against n H^2 near
         # umbilic points.
         h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(c, n, n, nd))[:, None] / n

@@ -48,6 +48,34 @@ def test_shape_point_parsing_errors(capsys):
     assert code == 2 and "coordinates" in err
 
 
+@pytest.mark.parametrize("point", ["nan,1", "inf,1"])
+def test_shape_point_must_be_finite(capsys, point):
+    # Once "patch image leaves the unit sphere by nan", and for inf a
+    # NumPy RuntimeWarning on stderr as well.
+    code, out, err = run(capsys, ["shape", "clifford-torus:1,2", "--point", point])
+    assert (code, out) == (2, "")
+    assert err == f"error: point coordinates must be finite, got {point!r}\n"
+
+
+_TOLERANCE_COMMANDS = [
+    ["energy", "willmore-torus:1,3", "--resolution", "12"],
+    ["pinch", "veronese", "--resolution", "16"],
+    ["conformal-test", "veronese", "--maps", "2", "--resolution", "16"],
+    ["el-check", "willmore-torus:1,3"],
+    ["optimize", "1", "3"],
+]
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("argv", _TOLERANCE_COMMANDS, ids=[a[0] for a in _TOLERANCE_COMMANDS])
+def test_tolerance_must_be_positive_and_finite(capsys, argv, tolerance):
+    # A NaN tolerance once let every --assert pass: no drift compares
+    # greater than NaN.
+    code, out, err = run(capsys, argv + ["--assert", f"--tolerance={tolerance}"])
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be positive and finite\n"
+
+
 def test_unknown_example_id(capsys):
     code, _, err = run(capsys, ["energy", "mystery-manifold"])
     assert code == 2
@@ -319,7 +347,7 @@ _GOLDEN = [
             "id": "clifford-torus:1,2",
             "mode": "surface",
             "grid": [64, 64],
-            "max_residual": 6.8669220565201e-14,
+            "max_residual": 6.844717596027597e-14,
             "willmore": True,
         },
     ),

@@ -14,12 +14,18 @@ from willmorelab.catalog import (
 from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import (
     _CHUNK,
+    RANK_TOL,
     ImmersionPatch,
     MobiusMap,
     POLE_CLEARANCE,
     PoleError,
+    RankError,
+    ShapeBatch,
+    _chart_points,
+    _complete_normals,
     _fd_jets,
     _integrand_fields,
+    _jets,
     grid_gradient_pairing,
     laplace_beltrami,
     mobius_apply,
@@ -398,9 +404,60 @@ def _catalog_patches():
     ]
 
 
+def _reference_shape_batch(patch, points, step=1e-4, use_exact=True):
+    """The QR pipeline that shape_batch once was, kept as an independent check.
+
+    Tangent frame from a QR of the Jacobian with a sign fix, an SVD rank
+    check, sqrt g = det R, and h from two triangular solves against the
+    normal components of x_ij, then symmetrized. The unit-sphere guard
+    is left to the pipeline under test.
+    """
+    pts, exact = _chart_points(patch, points, step, use_exact)
+    x, first, second = _jets(patch, pts, step, exact)
+    jac = first.transpose(0, 2, 1)
+    q, r = np.linalg.qr(jac)
+    sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    sign = np.where(sign == 0.0, 1.0, sign)
+    q = q * sign[:, None, :]
+    r = r * sign[:, :, None]
+    smin = np.linalg.svd(r, compute_uv=False)[:, -1]
+    bad = np.nonzero(smin < RANK_TOL)[0]
+    if bad.size:
+        raise RankError(int(bad[0]), smin[bad[0]])
+    basis = np.concatenate([q, x[:, :, None]], axis=2)
+    normal = _complete_normals(basis, patch.p)
+    if patch.p == 1:
+        if patch.normal_hint is not None:
+            flip = np.sign(np.einsum("mj,mj->m", normal[:, :, 0], patch.normal_hint(pts)))
+        else:
+            flip = np.sign(np.linalg.det(np.concatenate([basis, normal], axis=2)))
+        normal = normal * flip[:, None, None]
+    b_coord = np.einsum("mabj,mjp->mpab", second, normal)
+    rt = r.transpose(0, 2, 1)[:, None]
+    half = np.linalg.solve(rt, b_coord)
+    h = np.linalg.solve(rt, half.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    h = 0.5 * (h + h.transpose(0, 1, 3, 2))
+    mean_vector = np.einsum("mpii->mp", h) / patch.n
+    mean_norm = np.linalg.norm(mean_vector, axis=1)
+    s_val = np.einsum("mpij,mpij->m", h, h)
+    return ShapeBatch(
+        points=pts,
+        x=x,
+        tangent=q,
+        normal=normal,
+        metric=np.einsum("mja,mjb->mab", jac, jac),
+        sqrt_g=np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1),
+        h=h,
+        mean_vector=mean_vector,
+        mean_norm=mean_norm,
+        S=s_val,
+        rho_sq=s_val - patch.n * mean_norm**2,
+    )
+
+
 def _assert_fields_match(patch, pts, step=1e-4, use_exact=True):
     rho_sq, sqrt_g, ginv = _integrand_fields(patch, pts, step, use_exact, inverse_metric=True)
-    ref = shape_batch(patch, pts, step=step, use_exact=use_exact)
+    ref = _reference_shape_batch(patch, pts, step=step, use_exact=use_exact)
     for got, want in (
         (rho_sq, ref.rho_sq),
         (sqrt_g, ref.sqrt_g),
@@ -429,6 +486,82 @@ def test_integrand_kernel_matches_shape_batch_on_mobius_images():
             break
         else:
             pytest.fail("no pole-safe conformal map drawn")
+
+
+def _assert_batch_matches_the_reference(patch, pts, step=1e-4, use_exact=True):
+    got = shape_batch(patch, pts, step=step, use_exact=use_exact)
+    want = _reference_shape_batch(patch, pts, step=step, use_exact=use_exact)
+    for name in ShapeBatch.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max()), name
+
+
+def test_shape_batch_matches_the_reference_on_the_catalog():
+    rng = np.random.default_rng(15)
+    for patch in _catalog_patches():
+        _assert_batch_matches_the_reference(patch, sample_safe_points(patch, rng, 64))
+
+
+def test_shape_batch_matches_the_reference_on_mobius_images():
+    rng = np.random.default_rng(16)
+    for patch in (clifford_torus(1, 2)[0], willmore_torus(1, 3)[0], veronese()):
+        pts = sample_safe_points(patch, rng, 64)
+        for _, moved in _pole_safe_images(patch, 900, 2):
+            _assert_batch_matches_the_reference(moved, pts)
+
+
+def test_shape_batch_matches_the_reference_on_the_finite_difference_path():
+    rng = np.random.default_rng(17)
+    for patch in _catalog_patches():
+        pts = sample_safe_points(patch, rng, 32)
+        _assert_batch_matches_the_reference(patch, pts, use_exact=False)
+    source = replace(clifford_torus(1, 2)[0], exact_jet=None)
+    (_, moved), = _pole_safe_images(source, 40, 1)
+    _assert_batch_matches_the_reference(moved, sample_safe_points(source, rng, 32))
+
+
+def _skewed_clifford_torus(delta):
+    """The Clifford torus in coordinates with x_t = x_s + delta X_2.
+
+    x(s, t) = X(s + t, delta t) for the clifford-torus:1,2 chart X, so
+    the coordinate derivatives meet at an angle of order delta. X_12 = 0
+    and X_11, X_22 live in complementary coordinates, so the jets below
+    are exact in floating point.
+    """
+    base, _ = clifford_torus(1, 2)
+    a = np.array([[1.0, 1.0], [0.0, delta]])  # u = a (s, t)
+
+    def jet(t):
+        x, first, second = base.exact_jet(t @ a.T)
+        return (
+            x,
+            np.einsum("ki,...kj->...ij", a, first),
+            np.einsum("ki,lm,...klj->...imj", a, a, second),
+        )
+
+    return replace(base, evaluator=lambda t: base.evaluator(t @ a.T), exact_jet=jet)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 5e-6])
+def test_shape_data_stays_exact_on_a_skewed_chart(delta):
+    # The QR-and-solve pipeline lost about eps / delta^2 here (3e-8 in
+    # rho^2 at delta = 1e-4). The Gram-Schmidt core keeps rho^2 and H at
+    # roundoff, and its second pass keeps the frame orthonormal.
+    patch = _skewed_clifford_torus(delta)
+    for u in np.random.default_rng(18).uniform(0.0, 2.0 * math.pi, size=(8, 2)):
+        sd = shape_data(patch, u)
+        t = sd.tangent_frame.vectors
+        normal = sd.normal_frame.vectors
+        # Tangent against position is left to ShapeData's own check: the
+        # Gram-Schmidt frame inherits the jets' roundoff along x, scaled
+        # by 1 / delta.
+        assert np.abs(t @ t.T - np.eye(2)).max() <= 1e-13
+        frame = np.vstack([t, sd.position])
+        assert np.abs(normal @ normal.T - np.eye(1)).max() <= 1e-13
+        assert np.abs(normal @ frame.T).max() <= 1e-13
+        assert abs(sd.rho_sq - 2.0) <= 1e-13
+        assert sd.mean_norm <= 1e-13
 
 
 @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 5])
