@@ -72,7 +72,7 @@ _DEFAULT_TOLERANCE = {
     "el-check": 1e-10,
     "pinch": 1e-8,
     "conformal-test": 1e-3,
-    "optimize": 1e-8,
+    "optimize": 1e-6,
 }
 
 
@@ -87,7 +87,6 @@ class RunConfig:
     command: str
     example_id: Optional[str]
     resolution: int
-    fd_step: float
     seed: int
     trials: int
     tolerance: float
@@ -96,8 +95,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.resolution < 8:
             raise UsageError("resolution must be at least 8")
-        if not 1e-7 <= self.fd_step <= 1e-2:
-            raise UsageError("fd-step must lie in [1e-7, 1e-2]")
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -116,7 +113,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         example_id=getattr(args, "example_id", None),
         resolution=getattr(args, "resolution", 64),
-        fd_step=getattr(args, "fd_step", 1e-4),
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 1000),
         tolerance=float(tolerance),
@@ -187,7 +183,7 @@ def _cmd_shape(args: argparse.Namespace) -> int:
         point = patch.safe_center()
     else:
         point = _parse_point(args.point, patch.n)
-    sd = patch.exact_shape(point, step=config.fd_step)
+    sd = patch.exact_shape(point)
     payload = {"id": entry.example_id, "point": [float(v) for v in point]}
     payload.update(sd.to_json_dict())
 
@@ -219,10 +215,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             "use --resolution 9 or more"
         )
     grids = [QuadratureGrid.for_patch(patch, res) for res in levels]
-    table = [
-        (res, willmore_energy(patch, grid, fd_step=config.fd_step))
-        for res, grid in zip(levels, grids)
-    ]
+    table = [(res, willmore_energy(patch, grid)) for res, grid in zip(levels, grids)]
     value = table[-1][1]
     payload = {
         "id": entry.example_id,
@@ -248,7 +241,7 @@ def _cmd_el_check(args: argparse.Namespace) -> int:
     entry = resolve(config.example_id)
     if args.surface:
         grid = QuadratureGrid.for_patch(entry.patch, config.resolution)
-        res = el_residual_surface(entry.patch, grid, fd_step=config.fd_step)
+        res = el_residual_surface(entry.patch, grid)
         flat_ok = res.max_norm <= config.tolerance
         payload = {
             "id": entry.example_id,
@@ -288,7 +281,7 @@ def _cmd_pinch(args: argparse.Namespace) -> int:
     entry = resolve(config.example_id)
     patch = entry.patch
     grid = QuadratureGrid.for_patch(patch, config.resolution)
-    value = pinching_integral(patch, grid, mode=args.mode, fd_step=config.fd_step)
+    value = pinching_integral(patch, grid, mode=args.mode)
     payload = {
         "id": entry.example_id,
         "grid": list(grid.counts),
@@ -413,7 +406,7 @@ def _cmd_conformal_test(args: argparse.Namespace) -> int:
     entry = resolve(config.example_id)
     patch = entry.patch
     grid = QuadratureGrid.for_patch(patch, config.resolution)
-    base = willmore_energy(patch, grid, fd_step=config.fd_step)
+    base = willmore_energy(patch, grid)
     reports = []
     attempts = 0
     trial = 0
@@ -424,7 +417,7 @@ def _cmd_conformal_test(args: argparse.Namespace) -> int:
         mob = random_mobius(patch.ambient_dim, rng)
         try:
             moved = mobius_apply(mob, patch)
-            value = willmore_energy(moved, grid, fd_step=config.fd_step)
+            value = willmore_energy(moved, grid)
         except PoleError:
             # The coarse clearance check can pass while a finer quadrature
             # lattice still grazes the pole; either way, draw the next map.
@@ -454,8 +447,7 @@ def _cmd_conformal_test(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     config = _config_from(args)
     fam = TorusFamily(args.m, args.n)
-    tol = min(config.tolerance, 1e-3)
-    radius = find_critical_radius(fam, tol=max(tol, 1e-12))
+    radius = find_critical_radius(fam)
     balanced = fam.balanced_radius
     payload = {
         "m": fam.m,
@@ -473,10 +465,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     _emit(args, payload, lambda: [["r", "energy", "derivative"]] + [
         [float(r), float(w), float(dw)] for r, w, dw in family_profile(fam, samples=args.samples)
     ])
-    if args.check and abs(radius - balanced) > 1e-6:
+    if args.check and abs(radius - balanced) > config.tolerance:
         return _fail(
             f"critical radius {radius!r} differs from the balanced radius "
-            f"{balanced!r} by more than 1e-6"
+            f"{balanced!r} by more than {config.tolerance:.1e}"
         )
     return 0
 
@@ -508,13 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape.add_argument("example_id")
     p_shape.add_argument("--point", default=None,
                          help="comma-separated chart coordinates")
-    p_shape.add_argument("--fd-step", type=float, default=1e-4)
     _add_output_flags(p_shape)
 
     p_energy = sub.add_parser("energy", help="bending energy with a convergence table")
     p_energy.add_argument("example_id")
     p_energy.add_argument("--resolution", type=int, default=128)
-    p_energy.add_argument("--fd-step", type=float, default=1e-4)
     p_energy.add_argument("--tolerance", type=float, default=None)
     _add_check_flag(p_energy)
     _add_output_flags(p_energy)
@@ -525,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="pointwise surface residual on a periodic grid "
                       "instead of the constant-shape residual")
     p_el.add_argument("--resolution", type=int, default=64)
-    p_el.add_argument("--fd-step", type=float, default=1e-4)
     p_el.add_argument("--tolerance", type=float, default=None)
     _add_check_flag(p_el)
     _add_output_flags(p_el)
@@ -534,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pinch.add_argument("example_id")
     p_pinch.add_argument("--mode", choices=("simons", "li"), default="simons")
     p_pinch.add_argument("--resolution", type=int, default=64)
-    p_pinch.add_argument("--fd-step", type=float, default=1e-4)
     p_pinch.add_argument("--tolerance", type=float, default=None)
     _add_check_flag(p_pinch)
     _add_output_flags(p_pinch)
@@ -549,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("example_id")
     p_conf.add_argument("--maps", type=int, default=10)
     p_conf.add_argument("--resolution", type=int, default=128)
-    p_conf.add_argument("--fd-step", type=float, default=1e-4)
     p_conf.add_argument("--seed", type=int, default=0)
     p_conf.add_argument("--tolerance", type=float, default=None)
     _add_check_flag(p_conf)
@@ -558,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="critical radius of the torus family")
     p_opt.add_argument("m", type=int)
     p_opt.add_argument("n", type=int)
-    p_opt.add_argument("--tolerance", type=float, default=None)
+    p_opt.add_argument("--tolerance", type=float, default=None,
+                       help="--assert bound on |critical - balanced radius| (default 1e-6)")
     p_opt.add_argument("--samples", type=int, default=200,
                        help="rows in the CSV profile")
     _add_check_flag(p_opt)

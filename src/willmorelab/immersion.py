@@ -2,10 +2,9 @@
 
 An :class:`ImmersionPatch` wraps an evaluator u -> x(u) whose image lies
 on the unit sphere S^{ambient_dim - 1}. From first and second parameter
-derivatives (closed-form jets when the patch carries them, second-order
-central finite differences otherwise) :func:`shape_data` produces the
-chart metric, an orthonormal tangent frame, a completed normal frame,
-the shape operators h^a in that frame, and the scalar invariants
+derivatives :func:`shape_data` produces the chart metric, an orthonormal
+tangent frame, a completed normal frame, the shape operators h^a in that
+frame, and the scalar invariants
 
     H^a = trace(h^a)/n,   H = |H^a|,   S = sum_a N(h^a),
     rho^2 = S - n H^2.
@@ -13,8 +12,15 @@ the shape operators h^a in that frame, and the scalar invariants
 The normal-frame gauge is not matched between neighboring points; any
 quantity compared across points must be gauge invariant (H, S, rho^2,
 eigenvalues of sum_a (h^a)^2, the metric). The one exception is
-codimension 1, where the unit normal is fixed by orientation and varies
-continuously along the chart.
+codimension 1, where the unit normal is fixed by the patch's
+``normal_hint`` or else by orientation, turned over past the fold of a
+doubled chart, and varies continuously along the chart.
+
+The patch decides how its derivatives are taken: its closed-form jets
+when it carries them, second-order central differences otherwise. No
+caller switches between the two. Quadratures difference jet-free patches
+at ``FD_STEP``; only :func:`shape_batch` and :func:`shape_data` take a
+step, for studies of the finite-difference order.
 
 Two paths share one core, ``_second_form`` (the guards, a Gram-Schmidt
 frame, and h_ij as ambient normal vectors):
@@ -72,6 +78,8 @@ __all__ = [
 
 FD_STEP_MIN = 1e-7
 FD_STEP_MAX = 1e-2
+# Central-difference step for patches without exact jets.
+FD_STEP = 1e-4
 RANK_TOL = 1e-6
 UNIT_TOL = 1e-10
 # Minimum spherical distance the patch image must keep from the
@@ -147,11 +155,11 @@ class ImmersionPatch:
     def safe_center(self) -> np.ndarray:
         return np.array([0.5 * (lo + hi) for lo, hi in self.fd_safe])
 
-    def exact_shape(self, u, step: float = 1e-4) -> "ShapeData":
+    def exact_shape(self, u) -> "ShapeData":
         """Closed-form shape data; only for patches carrying exact jets."""
         if self.exact_jet is None:
             raise ValueError("patch has no exact jet")
-        return shape_data(self, u, step=step, use_exact=True)
+        return shape_data(self, u)
 
 
 @dataclass(frozen=True)
@@ -304,31 +312,24 @@ def _complete_normals(basis: np.ndarray, p: int) -> np.ndarray:
     return np.stack(added, axis=2)  # (M, N, p)
 
 
-def _validate_step(step: float) -> None:
-    if not (FD_STEP_MIN <= step <= FD_STEP_MAX):
-        raise ValueError(
-            f"finite-difference step {step:g} outside [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]"
-        )
-
-
-def _chart_points(patch: ImmersionPatch, points, step: float, use_exact: bool):
-    """Validated (M, n) chart points and whether exact jets apply to them."""
+def _chart_points(patch: ImmersionPatch, points, step: float) -> np.ndarray:
+    """Validated (M, n) chart points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return pts, _checked_domain(patch, pts.T, step, use_exact)
+    _checked_domain(patch, pts.T, step)
+    return pts
 
 
-def _checked_domain(patch: ImmersionPatch, columns, step: float, use_exact: bool) -> bool:
-    """Whether exact jets apply, once the coordinates are checked.
+def _checked_domain(patch: ImmersionPatch, columns, step: float) -> None:
+    """Check the coordinates of points the patch's jets will be taken at.
 
     ``columns[a]`` holds the coordinates on axis a: the columns of a
     point array, or a grid's 1-d nodes. Non-periodic axes need interior
-    points, and a one-step margin from their ends when finite
-    differences are taken.
+    points, and a one-step margin from their ends when the patch has no
+    exact jets and finite differences are taken.
     """
-    _validate_step(step)
     if len(columns) != patch.n:
         raise ValueError(f"points must have {patch.n} coordinates")
-    exact = use_exact and patch.exact_jet is not None
+    exact = patch.exact_jet is not None
     for a, ax in enumerate(patch.domain):
         if ax.periodic:
             continue
@@ -339,7 +340,22 @@ def _checked_domain(patch: ImmersionPatch, columns, step: float, use_exact: bool
                 f"axis {a}: points must lie strictly inside [{ax.lo}, {ax.hi}]"
                 + ("" if exact else " with a one-step margin for differencing")
             )
-    return exact
+
+
+def _fold_sign(patch: ImmersionPatch, columns):
+    """+1 before the middle of each fold axis and -1 past it, multiplied.
+
+    ``columns`` is indexed like in :func:`_checked_domain`; the result
+    broadcasts like its entries, and is the scalar 1.0 on charts without
+    fold axes. The orientation of a doubled chart and the sign of its
+    sqrt g turn over at the fold; this sign turns them back.
+    """
+    sign = 1.0
+    for a in patch.fold_axes:
+        ax = patch.domain[a]
+        past = (columns[a] - ax.lo) % ax.length >= 0.5 * ax.length
+        sign = sign * np.where(past, -1.0, 1.0)
+    return sign
 
 
 def _tangent_gram_schmidt(first: np.ndarray):
@@ -390,9 +406,9 @@ def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
         raise RankError(offset + int(unclear[bad[0]]), smin[bad[0]])
 
 
-def _jets(patch: ImmersionPatch, pts: np.ndarray, step: float, exact: bool):
+def _jets(patch: ImmersionPatch, pts: np.ndarray, step: float):
     """(x, first, second) at the points: exact jets, or central differences."""
-    if not exact:
+    if patch.exact_jet is None:
         return _fd_jets(patch.evaluator, pts, step)
     return tuple(np.asarray(j, dtype=float) for j in patch.exact_jet(pts))
 
@@ -425,18 +441,17 @@ def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, offset: i
     return tangent, coef, sqrt_g, h
 
 
-def shape_batch(
-    patch: ImmersionPatch,
-    points,
-    step: float = 1e-4,
-    use_exact: bool = True,
-) -> ShapeBatch:
+def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBatch:
     """Shape data for a batch of chart points; see :func:`shape_data`.
 
     :func:`_second_form`, then the normal frame and h^a_ij = <h_ij, nu_a>.
     """
-    pts, exact = _chart_points(patch, points, step, use_exact)
-    x, first, second = _jets(patch, pts, step, exact)
+    if not FD_STEP_MIN <= step <= FD_STEP_MAX:
+        raise ValueError(
+            f"finite-difference step {step:g} outside [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]"
+        )
+    pts = _chart_points(patch, points, step)
+    x, first, second = _jets(patch, pts, step)
     tangent, _, sqrt_g, h = _second_form(x, first, second, 0)
     n = patch.n
     # One Gram-Schmidt pass is orthonormal only up to the conditioning of
@@ -449,8 +464,8 @@ def shape_batch(
     if patch.p == 1:
         # Codimension one: the normal line is unique, only its sign is
         # free. A patch-supplied reference field gives a globally smooth
-        # gauge; otherwise fall back to the chart orientation, which is
-        # continuous wherever the chart does not fold.
+        # gauge; otherwise fall back to the chart orientation, turned
+        # over past the fold of a doubled chart.
         if patch.normal_hint is not None:
             ref = np.asarray(patch.normal_hint(pts), dtype=float)
             dots = np.einsum("mj,mj->m", normal[:, :, 0], ref)
@@ -459,7 +474,7 @@ def shape_batch(
             flip = np.sign(dots)
         else:
             full = np.concatenate([basis, normal], axis=2)
-            flip = np.sign(np.linalg.det(full))
+            flip = np.sign(np.linalg.det(full)) * _fold_sign(patch, pts.T)
         normal = normal * flip[:, None, None]
     h = np.einsum("mkj,mjp->mpk", h, normal).reshape(len(pts), -1, n, n)
     h = coef @ h @ coef.transpose(0, 1, 3, 2)
@@ -482,13 +497,7 @@ def shape_batch(
     )
 
 
-def _integrand_fields(
-    patch: ImmersionPatch,
-    nodes,
-    step: float = 1e-4,
-    use_exact: bool = True,
-    inverse_metric: bool = False,
-):
+def _integrand_fields(patch: ImmersionPatch, nodes, inverse_metric: bool = False):
     """Per-point (rho^2, sqrt g), or (rho^2, sqrt g, g^{-1}), without frames.
 
     :func:`_second_form` runs on chunks of ``_CHUNK`` points, so memory
@@ -496,17 +505,18 @@ def _integrand_fields(
     matrix with ``inverse_metric``). g^{-1} = R^{-1} R^{-T}, and
     rho^2 = |h - (trace h / n) I|^2 is a sum of squares, never negative.
     No normal frame or sign gauge is built; the guards are those of
-    :func:`shape_batch`, with the same exception types.
+    :func:`shape_batch`, with the same exception types. Patches without
+    exact jets are differenced with step ``FD_STEP``.
 
     ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
     chunk at a time (the interior check runs on its 1-d nodes), or an
     (M, n) array of chart points, sliced the same way.
     """
     if isinstance(nodes, QuadratureGrid):
-        exact = _checked_domain(patch, nodes.nodes_1d, step, use_exact)
+        _checked_domain(patch, nodes.nodes_1d, FD_STEP)
         m, take = nodes.node_total, nodes.nodes
     else:
-        pts, exact = _chart_points(patch, nodes, step, use_exact)
+        pts = _chart_points(patch, nodes, FD_STEP)
         m, take = len(pts), lambda start, stop: pts[start:stop]
     n = patch.n
     rho_sq = np.empty(m)
@@ -515,7 +525,7 @@ def _integrand_fields(
     for start in range(0, m, _CHUNK):
         stop = min(start + _CHUNK, m)
         chunk = slice(start, stop)
-        x, first, second = _jets(patch, take(start, stop), step, exact)
+        x, first, second = _jets(patch, take(start, stop), FD_STEP)
         _, coef, sqrt_g[chunk], h = _second_form(x, first, second, start)
         c, _, nd = h.shape
         # Trace-free part first: no cancellation against n H^2 near
@@ -527,21 +537,16 @@ def _integrand_fields(
     return (rho_sq, sqrt_g) if ginv is None else (rho_sq, sqrt_g, ginv)
 
 
-def shape_data(
-    patch: ImmersionPatch,
-    u,
-    step: float = 1e-4,
-    use_exact: bool = True,
-) -> ShapeData:
+def shape_data(patch: ImmersionPatch, u, step: float = FD_STEP) -> ShapeData:
     """Full second-order shape data at a single chart point.
 
     The tangent frame is the Gram-Schmidt orthonormalization of the
     coordinate derivatives (first vector along d_1 x); the normal frame
     completes tangent frame plus position to an ambient orthonormal
-    basis. Exact jets are used when the patch has them and ``use_exact``
-    is left on; otherwise central differences with the given step.
+    basis. Exact jets are used when the patch has them; otherwise
+    central differences with the given step.
     """
-    sb = shape_batch(patch, np.asarray(u, dtype=float)[None, :], step=step, use_exact=use_exact)
+    sb = shape_batch(patch, np.asarray(u, dtype=float)[None, :], step=step)
     fam = ShapeFamily(
         patch.n, patch.p, tuple(SymmetricMatrix(sb.h[0, a]) for a in range(patch.p))
     )
@@ -575,16 +580,24 @@ def _periodic_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _grid_laplacian(
-    f: np.ndarray, ginv: np.ndarray, sqrt_g: np.ndarray, grid: QuadratureGrid
+    patch: ImmersionPatch,
+    f: np.ndarray,
+    ginv: np.ndarray,
+    sqrt_g: np.ndarray,
+    grid: QuadratureGrid,
 ) -> np.ndarray:
     """Laplace-Beltrami of a grid function from the metric fields at the nodes.
 
     ``ginv`` is (M, n, n) and ``sqrt_g`` (M,), in the row-major node
-    order of the grid.
+    order of the grid. sqrt g takes the fold sign of the patch, so on a
+    doubled chart the flux stays smooth across the fold instead of
+    following the kink of |sqrt g|.
     """
     n = grid.ndim
     ginv = ginv.reshape(grid.shape + (n, n))
     sg = sqrt_g.reshape(grid.shape)
+    if patch.fold_axes:
+        sg = sg * _fold_sign(patch, np.ix_(*grid.nodes_1d))
     spacings = [grid.spacing(a) for a in range(n)]
     partials = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
     div = np.zeros_like(f)
@@ -604,33 +617,25 @@ def _require_periodic_grid(patch: ImmersionPatch, grid: QuadratureGrid) -> None:
             raise ValueError("need at least 8 nodes per axis")
 
 
-def laplace_beltrami(
-    patch: ImmersionPatch,
-    f: np.ndarray,
-    grid: QuadratureGrid,
-    step: float = 1e-4,
-) -> np.ndarray:
+def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """Discrete Laplace-Beltrami of a grid function on a periodic chart.
 
     Divergence form (1/sqrt g) d_a (sqrt g g^{ab} d_b f) with centered
     differences throughout; exact for constants, second-order accurate,
     and skew-consistent with :func:`grid_gradient_pairing` so discrete
-    integration by parts holds to roundoff.
+    integration by parts holds to roundoff on charts without fold axes.
+    On a doubled chart sqrt g takes the fold sign (:func:`_grid_laplacian`).
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid, step, inverse_metric=True)
-    return _grid_laplacian(values, ginv, sqrt_g, grid)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid, inverse_metric=True)
+    return _grid_laplacian(patch, values, ginv, sqrt_g, grid)
 
 
 def grid_gradient_pairing(
-    patch: ImmersionPatch,
-    f: np.ndarray,
-    g: np.ndarray,
-    grid: QuadratureGrid,
-    step: float = 1e-4,
+    patch: ImmersionPatch, f: np.ndarray, g: np.ndarray, grid: QuadratureGrid
 ) -> float:
     """Discrete Dirichlet pairing: integral of <grad f, grad g> dv."""
     fv = np.asarray(f, dtype=float)
@@ -638,7 +643,7 @@ def grid_gradient_pairing(
     _require_periodic_grid(patch, grid)
     if fv.shape != grid.shape or gv.shape != grid.shape:
         raise ValueError("grid functions must match the grid shape")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid, step, inverse_metric=True)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid, inverse_metric=True)
     ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
     sg = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(grid.ndim)]
@@ -723,7 +728,7 @@ def _linear_fraction(mob: MobiusMap) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :nd] @ mob.rotation, rows[:, nd]
 
 
-def mobius_apply(mob: MobiusMap, patch: ImmersionPatch, check_samples: int = 6) -> ImmersionPatch:
+def mobius_apply(mob: MobiusMap, patch: ImmersionPatch) -> ImmersionPatch:
     """Compose a patch with a conformal map of the ambient sphere.
 
     The map acts linearly on the light cone, so on the sphere it is one
@@ -736,15 +741,14 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch, check_samples: int = 6) 
         z_ij = (A x_ij - s_j z_i - s_i z_j - s_ij z) / s.
 
     The image must keep spherical distance >= 0.1 from the pole; this is
-    checked on a coarse sample grid up front and guarded pointwise (at
-    half the clearance) inside the returned evaluator and jet. The result
-    keeps the domain and cover multiplicity.
+    checked up front on 6 samples per axis of the ``fd_safe`` box and
+    guarded pointwise (at half the clearance) inside the returned
+    evaluator and jet. The result keeps the domain, cover multiplicity
+    and fold axes.
     """
     if mob.ambient_dim != patch.ambient_dim:
         raise ValueError("ambient dimensions do not match")
-    axes_samples = [
-        np.linspace(lo, hi, check_samples) for (lo, hi) in patch.fd_safe
-    ]
+    axes_samples = [np.linspace(lo, hi, 6) for (lo, hi) in patch.fd_safe]
     mesh = np.meshgrid(*axes_samples, indexing="ij")
     probe = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     y = np.asarray(patch.evaluator(probe), dtype=float) @ mob.rotation.T
@@ -802,29 +806,25 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch, check_samples: int = 6) 
 
     label = f"mobius({patch.name})" if patch.name else "mobius"
     # The source patch's co-normal reference does not transform with the
-    # map, so the image patch falls back to the orientation gauge.
+    # map, so the image patch falls back to the orientation gauge; the
+    # fold axes stay, and with them the fold sign of that gauge.
     return replace(
         patch, evaluator=evaluator, exact_jet=exact_jet, name=label, normal_hint=None
     )
 
 
-def random_mobius(
-    ambient_dim: int,
-    rng: np.random.Generator,
-    dilation_range: tuple[float, float] = (0.5, 2.0),
-    translation_max: float = 0.5,
-) -> MobiusMap:
-    """Draw a random conformal map (Haar rotation, log-uniform dilation)."""
+def random_mobius(ambient_dim: int, rng: np.random.Generator) -> MobiusMap:
+    """Draw a random conformal map (Haar rotation, uniform pole,
+    log-uniform dilation in [1/2, 2], translation length uniform in [0, 1/2])."""
     g = rng.standard_normal((ambient_dim, ambient_dim))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
     pole = rng.standard_normal(ambient_dim)
     pole = pole / np.linalg.norm(pole)
-    lo, hi = dilation_range
-    lam = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    lam = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
     b = rng.standard_normal(ambient_dim)
     b = b - (b @ pole) * pole
-    b = b / np.linalg.norm(b) * rng.uniform(0.0, translation_max)
+    b = b / np.linalg.norm(b) * rng.uniform(0.0, 0.5)
     return MobiusMap(rotation=q, dilation=lam, translation=b, pole=pole)
 
 

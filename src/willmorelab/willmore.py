@@ -90,39 +90,40 @@ class SurfaceResidual:
 
 
 def _integrate(patch: ImmersionPatch, grid: QuadratureGrid, density: np.ndarray) -> float:
-    total = float(np.sum(grid.weights() * density))
+    # In place: every caller passes a temporary, and with no further
+    # node-sized product the peak memory of a large grid stops depending
+    # on where the allocator happens to place one.
+    density *= grid.weights()
+    total = float(np.sum(density))
     return total / patch.cover_multiplicity
 
 
-def _grid_fields(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float):
+def _grid_fields(patch: ImmersionPatch, grid: QuadratureGrid):
     """(rho^2, sqrt g) at the grid's nodes, from the frame-free kernel."""
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
-    return _integrand_fields(patch, grid, step=fd_step)
+    return _integrand_fields(patch, grid)
 
 
-def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid, fd_step: float = 1e-4) -> float:
+def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
     """Quadrature value of the bending energy: integral of rho^n.
 
     Uses exact chart derivatives when the patch provides them and
     divides by the chart's cover multiplicity, so doubled charts report
     the energy of the underlying submanifold.
     """
-    rho_sq, sqrt_g = _grid_fields(patch, grid, fd_step)
-    return _integrate(patch, grid, rho_sq ** (patch.n / 2.0) * sqrt_g)
+    rho_sq, sqrt_g = _grid_fields(patch, grid)
+    rho_sq **= patch.n / 2.0
+    rho_sq *= sqrt_g
+    return _integrate(patch, grid, rho_sq)
 
 
-def grid_integral(
-    patch: ImmersionPatch,
-    grid: QuadratureGrid,
-    values: np.ndarray,
-    fd_step: float = 1e-4,
-) -> float:
+def grid_integral(patch: ImmersionPatch, grid: QuadratureGrid, values: np.ndarray) -> float:
     """Integral of a grid function against the induced volume element."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError(f"grid function has shape {vals.shape}, expected {grid.shape}")
-    _, sqrt_g = _grid_fields(patch, grid, fd_step)
+    _, sqrt_g = _grid_fields(patch, grid)
     return _integrate(patch, grid, vals.reshape(-1) * sqrt_g)
 
 
@@ -136,12 +137,7 @@ def pinching_threshold(n: int, p: int, mode: str) -> float:
     raise ValueError(f"unknown threshold mode {mode!r}; expected 'simons' or 'li'")
 
 
-def pinching_integral(
-    patch: ImmersionPatch,
-    grid: QuadratureGrid,
-    mode: str = "simons",
-    fd_step: float = 1e-4,
-) -> float:
+def pinching_integral(patch: ImmersionPatch, grid: QuadratureGrid, mode: str = "simons") -> float:
     """Integral of rho^n (C - rho^2) with C the chosen pinching constant.
 
     Nonpositive for critical submanifolds whose rho^2 stays within the
@@ -149,7 +145,7 @@ def pinching_integral(
     sit at the threshold.
     """
     threshold = pinching_threshold(patch.n, patch.p, mode)
-    rho_sq, sqrt_g = _grid_fields(patch, grid, fd_step)
+    rho_sq, sqrt_g = _grid_fields(patch, grid)
     density = rho_sq ** (patch.n / 2.0) * (threshold - rho_sq) * sqrt_g
     return _integrate(patch, grid, density)
 
@@ -184,11 +180,7 @@ def el_residual_isoparametric(spec: IsoparametricSpec) -> ELResidual:
     return ELResidual(values=values, scale=scale)
 
 
-def el_residual_surface(
-    patch: ImmersionPatch,
-    grid: QuadratureGrid,
-    fd_step: float = 1e-4,
-) -> SurfaceResidual:
+def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceResidual:
     """Pointwise residual Delta H + H (S - 2 H^2) for a surface chart.
 
     Needs n = 2 and codimension 1 (so the normal Laplacian collapses to
@@ -209,7 +201,7 @@ def el_residual_surface(
     for start in range(0, m, _CHUNK):
         chunk = slice(start, start + _CHUNK)
         try:
-            batch = shape_batch(patch, pts[chunk], step=fd_step)
+            batch = shape_batch(patch, pts[chunk])
         except RankError as exc:
             raise RankError(start + exc.index, exc.smin) from None
         h_signed[chunk] = batch.mean_vector[:, 0]
@@ -218,7 +210,7 @@ def el_residual_surface(
         ginv[chunk] = np.linalg.inv(batch.metric)
     h_signed = h_signed.reshape(grid.shape)
     s_field = s_field.reshape(grid.shape)
-    lap = _grid_laplacian(h_signed, ginv, sqrt_g, grid)
+    lap = _grid_laplacian(patch, h_signed, ginv, sqrt_g, grid)
     values = lap + h_signed * (s_field - 2.0 * h_signed**2)
     return SurfaceResidual(values=values, max_norm=float(np.max(np.abs(values))))
 

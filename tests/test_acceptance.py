@@ -7,6 +7,7 @@ any pytest run. Tolerances are stated inline next to each assertion.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_traceless_curvature_scalar_reproduction(report):
             sd = patch.exact_shape(patch.safe_center())
             worst_exact = max(worst_exact, abs(sd.rho_sq - n))
             pts = sample_safe_points(patch, rng, 4)
-            batch = shape_batch(patch, pts, step=1e-4, use_exact=False)
+            batch = shape_batch(replace(patch, exact_jet=None), pts, step=1e-4)
             worst_fd = max(worst_fd, np.abs(batch.rho_sq - n).max())
 
     vp = veronese()
@@ -355,7 +356,7 @@ def test_numerical_self_consistency(report):
     patch23, _ = willmore_torus(2, 3)
     pt = patch23.safe_center()[None, :]
     errs = [
-        abs(float(shape_batch(patch23, pt, step=h, use_exact=False).rho_sq[0]) - 3.0)
+        abs(float(shape_batch(replace(patch23, exact_jet=None), pt, step=h).rho_sq[0]) - 3.0)
         for h in (1e-2, 5e-3, 2.5e-3)
     ]
     ratios = (errs[0] / errs[1], errs[1] / errs[2])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -85,8 +86,11 @@ def test_unknown_example_id(capsys):
 def test_config_validation_exit_codes(capsys):
     code, _, err = run(capsys, ["energy", "clifford-torus:1,2", "--resolution", "4"])
     assert code == 2 and "resolution" in err
-    code, _, err = run(capsys, ["shape", "clifford-torus:1,2", "--fd-step", "1.0"])
-    assert code == 2 and "fd" in err.lower()
+    # --fd-step is no longer an option: argparse refuses it as usage.
+    with pytest.raises(SystemExit) as exc:
+        main(["shape", "clifford-torus:1,2", "--fd-step", "1.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
 
 
 def test_assert_refuses_empty_evidence(capsys):
@@ -206,6 +210,19 @@ def test_optimize_asserts_on_every_pair_up_to_twelve(capsys):
             assert json.loads(out)["difference"] < 1e-6
 
 
+def test_optimize_tolerance_is_the_assert_gate(capsys):
+    # --tolerance once set the bisection bracket (clamped to [1e-12,
+    # 1e-3]) while --assert gated at a fixed 1e-6, so a loose tolerance
+    # failed and an impossible one passed.
+    code, out, err = run(capsys, ["optimize", "1", "3", "--tolerance", "0.5", "--assert"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["difference"] < 1e-6
+    code, out, err = run(capsys, ["optimize", "1", "3", "--tolerance", "1e-300", "--assert"])
+    assert code == 1
+    assert err.startswith("assertion failed: critical radius ")
+    assert err.endswith("by more than 1.0e-300\n")
+
+
 def test_optimize_csv_profile(capsys):
     code, out, _ = run(
         capsys, ["optimize", "1", "3", "--format", "csv", "--samples", "10"]
@@ -258,6 +275,35 @@ def test_optimize_overflow_is_an_error_line(capsys):
         code, out, err = run(capsys, ["optimize", str(m), str(n), "--assert"])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "overflows" in err
+
+
+_OPTIONS = {
+    "catalog": [],
+    "shape": ["--point"],
+    "energy": ["--assert", "--resolution", "--tolerance"],
+    "el-check": ["--assert", "--resolution", "--surface", "--tolerance"],
+    "pinch": ["--assert", "--mode", "--resolution", "--tolerance"],
+    "matrix-props": ["--seed", "--trials"],
+    "conformal-test": ["--assert", "--maps", "--resolution", "--seed", "--tolerance"],
+    "optimize": ["--assert", "--samples", "--tolerance"],
+}
+
+
+def test_every_subcommand_has_exactly_its_pinned_options():
+    # A new knob is a deliberate edit here; every subcommand also takes
+    # -h/--help, --format and --out.
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    got = {
+        name: sorted(opt for action in sub._actions for opt in action.option_strings)
+        for name, sub in subparsers.choices.items()
+    }
+    want = {
+        name: sorted(opts + ["-h", "--help", "--format", "--out"])
+        for name, opts in _OPTIONS.items()
+    }
+    assert got == want
 
 
 def test_reused_parser_matches_fresh_parsers(capsys):
