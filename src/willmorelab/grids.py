@@ -6,26 +6,33 @@ integrands); the half-cell offset keeps nodes off chart poles on doubled
 spherical charts. Non-periodic axes use Gauss-Legendre nodes, which are
 strictly interior and spectrally accurate for integrands analytic on the
 closed interval; a Gauss-Legendre axis takes at most
-:data:`GAUSS_LEGENDRE_MAX` nodes. No adaptive rules anywhere, so a grid
-is a pure function of (domain, resolution) and results are
-bit-reproducible.
+:data:`GAUSS_LEGENDRE_MAX` nodes, and a grid at most
+:data:`GRID_NODE_MAX`. No adaptive rules anywhere, so a grid is a pure
+function of (domain, resolution) and results are bit-reproducible.
+Nodes and weights are gathered per chunk of flat indices from the 1-d
+rules, so a quadrature never needs a node-sized array of either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["AxisInterval", "QuadratureGrid", "GAUSS_LEGENDRE_MAX"]
+__all__ = ["AxisInterval", "QuadratureGrid", "GAUSS_LEGENDRE_MAX", "GRID_NODE_MAX"]
 
 _WEIGHT_SUM_TOL = 1e-12
 # Largest Gauss-Legendre rule: leggauss(count) builds a dense count x
 # count companion matrix (128 MiB here, several seconds of eigensolve),
 # so a larger count is refused before it is built.
 GAUSS_LEGENDRE_MAX = 4096
+# Largest grid: a quadrature keeps one 8-byte density per node (128 MiB
+# here) and a Laplacian several node-sized fields, so a larger product
+# of counts is refused from the counts alone, before anything is built.
+GRID_NODE_MAX = 2**24
 
 
 @dataclass(frozen=True)
@@ -71,20 +78,28 @@ class QuadratureGrid:
         counts = tuple(int(c) for c in counts)
         if len(counts) != len(axes):
             raise ValueError("need one resolution per axis")
-        nodes_1d = []
-        weights_1d = []
+        # Every count is checked before any rule or array is built.
         for a, (ax, cnt) in enumerate(zip(axes, counts)):
             if cnt < 2:
                 raise ValueError("resolution must be at least 2 per axis")
-            if ax.periodic:
-                h = ax.length / cnt
-                nodes = ax.lo + (np.arange(cnt) + 0.5) * h
-                weights = np.full(cnt, h)
-            elif cnt > GAUSS_LEGENDRE_MAX:
+            if not ax.periodic and cnt > GAUSS_LEGENDRE_MAX:
                 raise ValueError(
                     f"{cnt} nodes on axis {a} exceed the Gauss-Legendre cap of "
                     f"{GAUSS_LEGENDRE_MAX} nodes per bounded axis"
                 )
+        total = math.prod(counts)
+        if total > GRID_NODE_MAX:
+            raise ValueError(
+                f"{' x '.join(map(str, counts))} = {total} nodes exceed the grid cap "
+                f"of {GRID_NODE_MAX} nodes"
+            )
+        nodes_1d = []
+        weights_1d = []
+        for ax, cnt in zip(axes, counts):
+            if ax.periodic:
+                h = ax.length / cnt
+                nodes = ax.lo + (np.arange(cnt) + 0.5) * h
+                weights = np.full(cnt, h)
             else:
                 x, w = leggauss(cnt)
                 half = 0.5 * ax.length
@@ -136,15 +151,6 @@ class QuadratureGrid:
         pts.flags.writeable = False
         return pts
 
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        w = self.weights_1d[0]
-        for axis_w in self.weights_1d[1:]:
-            w = np.multiply.outer(w, axis_w)
-        w = w.reshape(-1)
-        w.flags.writeable = False
-        return w
-
     def points(self) -> np.ndarray:
         """All nodes, flattened row-major: shape (prod(counts), ndim)."""
         return self._points
@@ -162,9 +168,21 @@ class QuadratureGrid:
             out[:, a] = nodes[idx]
         return out
 
-    def weights(self) -> np.ndarray:
-        """Product weights matching :meth:`points`."""
-        return self._weights
+    def weights(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Product weights of flat indices [start, stop), matching :meth:`nodes`.
+
+        The whole grid by default, matching :meth:`points`. Gathered from
+        the 1-d rules and multiplied axis by axis in the order of
+        ``np.multiply.outer``, so a chunk's weights equal that slice of
+        the outer product bit for bit; nothing is cached on the grid.
+        """
+        if stop is None:
+            stop = self.node_total
+        index = np.unravel_index(np.arange(start, stop), self.counts)
+        out = self.weights_1d[0][index[0]]
+        for weights, idx in zip(self.weights_1d[1:], index[1:]):
+            out *= weights[idx]
+        return out
 
     def matches_domain(self, axes, tol: float = 1e-12) -> bool:
         axes = tuple(axes)

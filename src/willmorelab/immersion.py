@@ -29,12 +29,17 @@ frame, and h_ij as ambient normal vectors):
   frame use it: :func:`shape_data` (the ``shape`` command and the
   Veronese reference point) and the surface residual, whose signed mean
   curvature needs the oriented normal in codimension 1.
-* The frame-free kernel ``_integrand_fields`` reduces h to rho^2 and
-  gives sqrt g and, on request, g^{-1} per point, walking the points in
-  fixed chunks and gathering a grid's nodes chunk by chunk. The energy,
-  pinching and grid integrals, :func:`laplace_beltrami` and
-  :func:`grid_gradient_pairing` use it, so their memory follows the
-  chunk size plus the per-node scalars, with no node array.
+* The frame-free kernel ``_integrand_chunks`` reduces h to rho^2 and
+  yields rho^2, sqrt g and R^{-1} one chunk at a time, gathering a
+  grid's nodes chunk by chunk. A chunk holds the largest power of two
+  of points whose second-derivative jet fits ``_CHUNK_BYTES`` (1 MiB),
+  within [``_CHUNK_MIN``, ``_CHUNK_MAX``] = [256, 2048], and the large
+  products of ``_second_form`` go to work buffers allocated once per
+  walk. The energy, pinching and grid integrals reduce each chunk into
+  one 8-byte density per node, so their memory follows the chunk, not
+  the jets of the grid; :func:`laplace_beltrami` and
+  :func:`grid_gradient_pairing` gather the chunks into whole per-node
+  fields (``_integrand_fields``).
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -85,9 +90,13 @@ UNIT_TOL = 1e-10
 # Minimum spherical distance the patch image must keep from the
 # stereographic pole when a conformal map is applied.
 POLE_CLEARANCE = 0.1
-# Points per chunk of the frame-free integrand kernel; one chunk's jets
-# stay a few MiB at any grid size.
-_CHUNK = 2048
+# Chunks of the frame-free integrand kernel: the largest power of two of
+# points whose second-derivative jet fits _CHUNK_BYTES, within
+# [_CHUNK_MIN, _CHUNK_MAX], so one chunk's jets and work buffers stay
+# about a MiB each whatever the chart's dimensions.
+_CHUNK_BYTES = 2**20
+_CHUNK_MIN = 256
+_CHUNK_MAX = 2048
 
 JetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -413,14 +422,36 @@ def _jets(patch: ImmersionPatch, pts: np.ndarray, step: float):
     return tuple(np.asarray(j, dtype=float) for j in patch.exact_jet(pts))
 
 
-def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, offset: int):
+def _chunk_points(patch: ImmersionPatch) -> int:
+    """Points per chunk of the frame-free kernel for this patch."""
+    jet_bytes = patch.n * patch.n * patch.ambient_dim * 8
+    fit = max(1, _CHUNK_BYTES // jet_bytes)
+    return min(_CHUNK_MAX, max(_CHUNK_MIN, 1 << (fit.bit_length() - 1)))
+
+
+def _work_buffers(c: int, n: int, nd: int) -> tuple[np.ndarray, ...]:
+    """Buffers for the products of :func:`_second_form` on up to c points."""
+    return (
+        np.empty((c, nd, n + 1)),  # tangent frame plus position, as columns
+        np.empty((c, n + 1, nd)),  # the same, as rows
+        np.empty((c, n, n * nd)),  # R^{-T} x_kl, then the frame part of h
+        np.empty((c, n * n, nd)),  # h
+        np.empty((c, n * n, n + 1)),  # h against the frame
+    )
+
+
+def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, offset: int, work=None):
     """Unit-sphere and rank guards, Gram-Schmidt and h on a chunk of jets.
 
     Returns the tangent frame (n, N, c), ``coef`` (c, n, n) with row a
     holding column a of R^{-1}, sqrt g and h (c, n * n, N), whose row
     a n + b is the normal part of sum_kl R^{-1}_ka R^{-1}_lb x_kl: the
     second fundamental form in the tangent frame as ambient vectors.
-    ``offset`` shifts rank-error indices.
+    ``offset`` shifts rank-error indices. ``work`` holds
+    :func:`_work_buffers` for at least c points, which the products are
+    written into, so a walk over many chunks reuses one set; h is then
+    a view of it, valid until the next call. Without ``work`` the
+    buffers are allocated here.
     """
     unit_err = np.max(np.abs(np.einsum("mj,mj->m", x, x) - 1.0))
     if not unit_err <= UNIT_TOL:
@@ -431,13 +462,17 @@ def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, offset: i
     # Points first from here: the contractions are batched matmuls
     # over tiny matrices, fastest on contiguous operands.
     c, n, nd = first.shape
+    if work is None:
+        work = _work_buffers(c, n, nd)
+    cols, rows, half, h, along = (buf[:c] for buf in work)
     coef = np.ascontiguousarray(r_inv.transpose(2, 1, 0))
-    h = (coef @ second.reshape(c, n, n * nd)).reshape(c, n, n, nd)
-    h = (coef[:, None] @ h).reshape(c, n * n, nd)
-    frame = np.concatenate([tangent, x.T[None]])  # (n + 1, N, c)
-    cols = np.ascontiguousarray(frame.transpose(2, 1, 0))
-    rows = np.ascontiguousarray(frame.transpose(2, 0, 1))
-    h -= (h @ cols) @ rows
+    np.matmul(coef, second.reshape(c, n, n * nd), out=half)
+    np.matmul(coef[:, None], half.reshape(c, n, n, nd), out=h.reshape(c, n, n, nd))
+    cols[:, :, :n] = tangent.transpose(2, 1, 0)
+    cols[:, :, n] = x
+    rows[...] = cols.transpose(0, 2, 1)
+    np.matmul(h, cols, out=along)
+    h -= np.matmul(along, rows, out=half.reshape(c, n * n, nd))  # half is spent
     return tangent, coef, sqrt_g, h
 
 
@@ -497,16 +532,18 @@ def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBa
     )
 
 
-def _integrand_fields(patch: ImmersionPatch, nodes, inverse_metric: bool = False):
-    """Per-point (rho^2, sqrt g), or (rho^2, sqrt g, g^{-1}), without frames.
+def _integrand_chunks(patch: ImmersionPatch, nodes):
+    """Yield (start, stop, rho^2, sqrt g, coef) per chunk, without frames.
 
-    :func:`_second_form` runs on chunks of ``_CHUNK`` points, so memory
-    follows the chunk size plus one scalar per point (and one n x n
-    matrix with ``inverse_metric``). g^{-1} = R^{-1} R^{-T}, and
-    rho^2 = |h - (trace h / n) I|^2 is a sum of squares, never negative.
-    No normal frame or sign gauge is built; the guards are those of
-    :func:`shape_batch`, with the same exception types. Patches without
-    exact jets are differenced with step ``FD_STEP``.
+    ``coef`` is R^{-1} as :func:`_second_form` returns it, so
+    g^{-1} = coef^T coef. Chunks hold :func:`_chunk_points` points, and
+    one set of :func:`_work_buffers` serves every chunk, so memory
+    follows the chunk and not the number of points. rho^2 =
+    |h - (trace h / n) I|^2 is a sum of squares, never negative. No
+    normal frame or sign gauge is built; the guards are those of
+    :func:`shape_batch`, with the same exception types and point
+    indices. Patches without exact jets are differenced with step
+    ``FD_STEP``. The yielded arrays are the caller's.
 
     ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
     chunk at a time (the interior check runs on its 1-d nodes), or an
@@ -519,22 +556,32 @@ def _integrand_fields(patch: ImmersionPatch, nodes, inverse_metric: bool = False
         pts = _chart_points(patch, nodes, FD_STEP)
         m, take = len(pts), lambda start, stop: pts[start:stop]
     n = patch.n
-    rho_sq = np.empty(m)
-    sqrt_g = np.empty(m)
-    ginv = np.empty((m, n, n)) if inverse_metric else None
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        chunk = slice(start, stop)
+    size = _chunk_points(patch)
+    work = _work_buffers(min(size, m), n, patch.ambient_dim)
+    for start in range(0, m, size):
+        stop = min(start + size, m)
         x, first, second = _jets(patch, take(start, stop), FD_STEP)
-        _, coef, sqrt_g[chunk], h = _second_form(x, first, second, start)
+        _, coef, sqrt_g, h = _second_form(x, first, second, start, work)
         c, _, nd = h.shape
         # Trace-free part first: no cancellation against n H^2 near
         # umbilic points.
         h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(c, n, n, nd))[:, None] / n
-        rho_sq[chunk] = np.einsum("cpj,cpj->c", h, h)
-        if ginv is not None:
-            ginv[chunk] = coef.transpose(0, 2, 1) @ coef
-    return (rho_sq, sqrt_g) if ginv is None else (rho_sq, sqrt_g, ginv)
+        yield start, stop, np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
+
+
+def _integrand_fields(patch: ImmersionPatch, nodes):
+    """Per-point (rho^2, sqrt g, g^{-1}) over all of ``nodes``.
+
+    The chunks of :func:`_integrand_chunks`, gathered into whole arrays
+    for the grid operators that need every node at once: one scalar
+    pair and one n x n matrix per point.
+    """
+    rho_sq, sqrt_g, ginv = [], [], []
+    for _, _, r, s, coef in _integrand_chunks(patch, nodes):
+        rho_sq.append(r)
+        sqrt_g.append(s)
+        ginv.append(coef.transpose(0, 2, 1) @ coef)
+    return np.concatenate(rho_sq), np.concatenate(sqrt_g), np.concatenate(ginv)
 
 
 def shape_data(patch: ImmersionPatch, u, step: float = FD_STEP) -> ShapeData:
@@ -630,7 +677,7 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid, inverse_metric=True)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid)
     return _grid_laplacian(patch, values, ginv, sqrt_g, grid)
 
 
@@ -643,7 +690,7 @@ def grid_gradient_pairing(
     _require_periodic_grid(patch, grid)
     if fv.shape != grid.shape or gv.shape != grid.shape:
         raise ValueError("grid functions must match the grid shape")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid, inverse_metric=True)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid)
     ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
     sg = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(grid.ndim)]

@@ -24,11 +24,11 @@ import numpy as np
 from .catalog import IsoparametricSpec
 from .grids import QuadratureGrid
 from .immersion import (
-    _CHUNK,
     ImmersionPatch,
     RankError,
+    _chunk_points,
     _grid_laplacian,
-    _integrand_fields,
+    _integrand_chunks,
     _require_periodic_grid,
     laplace_beltrami,  # re-exported: callers import it from this module
     shape_batch,
@@ -89,20 +89,22 @@ class SurfaceResidual:
     max_norm: float
 
 
-def _integrate(patch: ImmersionPatch, grid: QuadratureGrid, density: np.ndarray) -> float:
-    # In place: every caller passes a temporary, and with no further
-    # node-sized product the peak memory of a large grid stops depending
-    # on where the allocator happens to place one.
-    density *= grid.weights()
-    total = float(np.sum(density))
-    return total / patch.cover_multiplicity
+def _chunked_integral(patch: ImmersionPatch, grid: QuadratureGrid, integrand) -> float:
+    """Quadrature of ``integrand(rho_sq, sqrt_g, chunk)`` = f sqrt g.
 
-
-def _grid_fields(patch: ImmersionPatch, grid: QuadratureGrid):
-    """(rho^2, sqrt g) at the grid's nodes, from the frame-free kernel."""
+    The kernel's fields arrive one chunk at a time, ``chunk`` being the
+    slice of flat node indices they belong to; f sqrt g times the
+    chunk's weights fills that slice of one node-sized density. One
+    ``np.sum`` over it gives the summation order, and so every bit, of a
+    whole-array reduction, at 8 bytes per node.
+    """
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
-    return _integrand_fields(patch, grid)
+    density = np.empty(grid.node_total)
+    for start, stop, rho_sq, sqrt_g, _ in _integrand_chunks(patch, grid):
+        values = integrand(rho_sq, sqrt_g, slice(start, stop))
+        np.multiply(values, grid.weights(start, stop), out=density[start:stop])
+    return float(np.sum(density)) / patch.cover_multiplicity
 
 
 def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
@@ -112,10 +114,8 @@ def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
     divides by the chart's cover multiplicity, so doubled charts report
     the energy of the underlying submanifold.
     """
-    rho_sq, sqrt_g = _grid_fields(patch, grid)
-    rho_sq **= patch.n / 2.0
-    rho_sq *= sqrt_g
-    return _integrate(patch, grid, rho_sq)
+    power = patch.n / 2.0
+    return _chunked_integral(patch, grid, lambda rho_sq, sqrt_g, _: rho_sq**power * sqrt_g)
 
 
 def grid_integral(patch: ImmersionPatch, grid: QuadratureGrid, values: np.ndarray) -> float:
@@ -123,8 +123,8 @@ def grid_integral(patch: ImmersionPatch, grid: QuadratureGrid, values: np.ndarra
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ValueError(f"grid function has shape {vals.shape}, expected {grid.shape}")
-    _, sqrt_g = _grid_fields(patch, grid)
-    return _integrate(patch, grid, vals.reshape(-1) * sqrt_g)
+    flat = vals.reshape(-1)
+    return _chunked_integral(patch, grid, lambda _, sqrt_g, chunk: flat[chunk] * sqrt_g)
 
 
 def pinching_threshold(n: int, p: int, mode: str) -> float:
@@ -145,9 +145,10 @@ def pinching_integral(patch: ImmersionPatch, grid: QuadratureGrid, mode: str = "
     sit at the threshold.
     """
     threshold = pinching_threshold(patch.n, patch.p, mode)
-    rho_sq, sqrt_g = _grid_fields(patch, grid)
-    density = rho_sq ** (patch.n / 2.0) * (threshold - rho_sq) * sqrt_g
-    return _integrate(patch, grid, density)
+    power = patch.n / 2.0
+    return _chunked_integral(
+        patch, grid, lambda rho_sq, sqrt_g, _: rho_sq**power * (threshold - rho_sq) * sqrt_g
+    )
 
 
 def el_residual_isoparametric(spec: IsoparametricSpec) -> ELResidual:
@@ -198,8 +199,9 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
     m = len(pts)
     h_signed, s_field, sqrt_g = np.empty(m), np.empty(m), np.empty(m)
     ginv = np.empty((m, 2, 2))
-    for start in range(0, m, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
+    size = _chunk_points(patch)
+    for start in range(0, m, size):
+        chunk = slice(start, start + size)
         try:
             batch = shape_batch(patch, pts[chunk])
         except RankError as exc:

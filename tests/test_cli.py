@@ -270,6 +270,22 @@ def test_matrix_props_golden_values(capsys):
     assert all(s["trials"] == 1000 and s["violations"] == 0 for s in suites.values())
 
 
+def test_grids_over_the_node_cap_are_usage_errors(capsys):
+    # Refused from the counts before any rule or array is built; the
+    # energy at 1000 ended in a MemoryError traceback (29.1 GiB for the
+    # quarter level's rho^2) under a 3 GB address-space limit.
+    for argv in (
+        ["energy", "willmore-torus:2,4", "--resolution", "1000"],
+        ["pinch", "clifford-torus:1,2", "--resolution", "5000"],
+        ["el-check", "clifford-torus:1,2", "--surface", "--resolution", "5000"],
+        ["conformal-test", "clifford-torus:1,2", "--maps", "1", "--resolution", "5000"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"nodes exceed the grid cap of {2**24} nodes" in err, argv
+
+
 def test_optimize_overflow_is_an_error_line(capsys):
     for m, n in ((1, 400), (399, 400)):
         code, out, err = run(capsys, ["optimize", str(m), str(n), "--assert"])

@@ -5,7 +5,7 @@ import pytest
 
 from willmorelab import grids
 from willmorelab.grids import AxisInterval, QuadratureGrid
-from willmorelab.immersion import _CHUNK
+from willmorelab.immersion import _CHUNK_MAX
 
 
 def test_weights_sum_to_domain_volume():
@@ -108,9 +108,9 @@ def test_chunk_nodes_equal_slices_of_the_node_array():
     total = grid.node_total
     ranges = [
         (0, 1),
-        (0, _CHUNK),
-        (_CHUNK - 1, _CHUNK + 1),
-        (2 * _CHUNK - 5, 3 * _CHUNK + 7),
+        (0, _CHUNK_MAX),
+        (_CHUNK_MAX - 1, _CHUNK_MAX + 1),
+        (2 * _CHUNK_MAX - 5, 3 * _CHUNK_MAX + 7),
         (total - 3, total),
         (0, total),
         (17, 17),
@@ -124,6 +124,13 @@ def test_chunk_nodes_equal_slices_of_the_node_array():
     assert np.array_equal(grid.points(), reference)
     for start, stop in ranges:
         assert np.array_equal(grid.nodes(start, stop), grid.points()[start:stop])
+    # Chunk weights are slices of the outer product, bit for bit.
+    outer = np.multiply.outer(np.multiply.outer(*grid.weights_1d[:2]), grid.weights_1d[2])
+    outer = outer.reshape(-1)
+    assert np.array_equal(grid.weights(), outer)
+    for start, stop in ranges:
+        assert np.array_equal(grid.weights(start, stop), outer[start:stop])
+    assert "_weights" not in grid.__dict__
 
 
 def test_gauss_legendre_count_above_the_cap_is_refused_before_building(monkeypatch):
@@ -151,3 +158,29 @@ def test_gauss_legendre_cap_itself_builds(monkeypatch):
     monkeypatch.setattr(grids, "leggauss", stub)
     grid = QuadratureGrid.for_axes((AxisInterval(0.0, 1.0),), (grids.GAUSS_LEGENDRE_MAX,))
     assert asked == [grids.GAUSS_LEGENDRE_MAX] == list(grid.counts)
+
+
+def test_grid_node_cap_is_checked_from_the_counts_alone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was built for a grid over the node cap")
+
+    monkeypatch.setattr(grids, "leggauss", refuse)
+    monkeypatch.setattr(grids.np, "arange", refuse)
+    monkeypatch.setattr(grids.np, "full", refuse)
+    cap = grids.GRID_NODE_MAX
+    bounded = (AxisInterval(0.0, 1.0),) * 4
+    with pytest.raises(ValueError, match=f"250 x 250 x 250 x 250 = 3906250000 nodes .* {cap}"):
+        QuadratureGrid.for_axes(bounded, 250)
+    periodic = (AxisInterval(0.0, 1.0, periodic=True),) * 2
+    with pytest.raises(ValueError, match=f"= {cap + 4096} nodes exceed the grid cap"):
+        QuadratureGrid.for_axes(periodic, (4096, 4097))
+    with pytest.raises(ValueError, match="nodes exceed the grid cap"):
+        QuadratureGrid.for_axes(periodic * 3, 10**6)
+
+
+def test_grid_node_cap_itself_builds():
+    # Periodic axes at the cap build two 4096-node rules and no node array.
+    axes = (AxisInterval(0.0, 1.0, periodic=True),) * 2
+    grid = QuadratureGrid.for_axes(axes, (4096, 4096))
+    assert grid.node_total == grids.GRID_NODE_MAX
+    assert "_points" not in grid.__dict__

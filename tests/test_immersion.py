@@ -7,13 +7,14 @@ import pytest
 from willmorelab.catalog import (
     clifford_torus,
     product_spheres,
+    resolve,
     round_sphere,
     veronese,
     willmore_torus,
 )
 from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import (
-    _CHUNK,
+    _CHUNK_MAX,
     RANK_TOL,
     ImmersionPatch,
     MobiusMap,
@@ -24,6 +25,7 @@ from willmorelab.immersion import (
     _chart_points,
     _complete_normals,
     _fd_jets,
+    _chunk_points,
     _integrand_fields,
     _jets,
     grid_gradient_pairing,
@@ -475,7 +477,7 @@ def _reference_shape_batch(patch, points, step=1e-4):
 
 
 def _assert_fields_match(patch, pts):
-    rho_sq, sqrt_g, ginv = _integrand_fields(patch, pts, inverse_metric=True)
+    rho_sq, sqrt_g, ginv = _integrand_fields(patch, pts)
     ref = _reference_shape_batch(patch, pts)
     for got, want in (
         (rho_sq, ref.rho_sq),
@@ -583,18 +585,47 @@ def test_shape_data_stays_exact_on_a_skewed_chart(delta):
         assert sd.mean_norm <= 1e-13
 
 
-@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 5])
+@pytest.mark.parametrize("count", [1, _CHUNK_MAX - 1, _CHUNK_MAX, 2 * _CHUNK_MAX + 5])
 def test_integrand_kernel_across_chunk_boundaries(count):
     patch, _ = willmore_torus(1, 3)
     pts = sample_safe_points(patch, np.random.default_rng(count), count)
     _assert_fields_match(patch, pts)
 
 
+def test_chunks_are_sized_by_the_bytes_of_the_second_jet():
+    # n^2 N doubles per point against 1 MiB, as a power of two in [256, 2048].
+    sizes = {
+        "clifford-torus:1,2": 2048,
+        "veronese": 2048,
+        "willmore-torus:1,3": 2048,
+        "willmore-torus:2,4": 1024,
+        "product-spheres:2,2,1": 512,
+    }
+    assert {ident: _chunk_points(resolve(ident).patch) for ident in sizes} == sizes
+    wide = ImmersionPatch(
+        n=8, ambient_dim=40, domain=(AxisInterval(0.0, 1.0),) * 8, evaluator=lambda u: u
+    )
+    assert _chunk_points(wide) == 256  # 20 KiB a point: clamped up to the floor
+
+
+@pytest.mark.parametrize(
+    "ident", ["clifford-torus:1,2", "willmore-torus:2,4", "product-spheres:2,2,1"]
+)
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_integrand_kernel_across_byte_sized_chunk_boundaries(ident, shift):
+    # One point short of, exactly at, and one past the chunk of an n = 2,
+    # 4 and 5 chart.
+    patch = resolve(ident).patch
+    count = _chunk_points(patch) + shift
+    _assert_fields_match(patch, sample_safe_points(patch, np.random.default_rng(count), count))
+
+
 def test_integrand_kernel_reports_the_global_point_index():
     sphere = round_sphere(2, 1, 0.7)
-    pts = sample_safe_points(sphere, np.random.default_rng(8), _CHUNK + 10)
-    pts[_CHUNK + 3] = (math.pi, 1.0)  # on the fold of the doubled chart
-    with pytest.raises(ValueError, match=f"rank deficient at point index {_CHUNK + 3} "):
+    chunk = _chunk_points(sphere)
+    pts = sample_safe_points(sphere, np.random.default_rng(8), chunk + 10)
+    pts[chunk + 3] = (math.pi, 1.0)  # on the fold of the doubled chart
+    with pytest.raises(ValueError, match=f"rank deficient at point index {chunk + 3} "):
         _integrand_fields(sphere, pts)
     # A non-finite differential is not cleared either.
     base, _ = clifford_torus(1, 2)
@@ -604,9 +635,10 @@ def test_integrand_kernel_reports_the_global_point_index():
         first[t[:, 0] == 0.5] = np.nan
         return x, first, second
 
-    pts = sample_safe_points(base, np.random.default_rng(9), _CHUNK + 10)
-    pts[_CHUNK + 4, 0] = 0.5
-    with pytest.raises(ValueError, match=f"point index {_CHUNK + 4} .*nan"):
+    chunk = _chunk_points(base)
+    pts = sample_safe_points(base, np.random.default_rng(9), chunk + 10)
+    pts[chunk + 4, 0] = 0.5
+    with pytest.raises(ValueError, match=f"point index {chunk + 4} .*nan"):
         _integrand_fields(replace(base, exact_jet=poisoned), pts)
 
 

@@ -17,7 +17,15 @@ from willmorelab.catalog import (
     willmore_torus,
 )
 from willmorelab.grids import QuadratureGrid
-from willmorelab.immersion import _CHUNK, RankError, mobius_apply, random_mobius
+from willmorelab.immersion import (
+    FD_STEP,
+    RankError,
+    _chunk_points,
+    _jets,
+    _tangent_gram_schmidt,
+    mobius_apply,
+    random_mobius,
+)
 from willmorelab.linalg import SymmetricMatrix
 from willmorelab.tensors import ShapeFamily, trial_rng
 from willmorelab.willmore import (
@@ -220,40 +228,58 @@ def test_classifier_input_guards():
         classify_willmore(spec, -0.5)
 
 
+def _traced_peaks(integral, patch, resolutions, prebuild=False):
+    """tracemalloc peak of one integral per grid resolution."""
+    peaks = []
+    for res in resolutions:
+        grid = QuadratureGrid.for_patch(patch, res)
+        if prebuild:
+            grid.points()  # the grid's own arrays are not the integral's
+        tracemalloc.start()
+        try:
+            integral(patch, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert ("_points" in grid.__dict__) == prebuild
+        assert "_weights" not in grid.__dict__
+    return peaks
+
+
 def test_energy_memory_follows_the_chunk_not_the_grid():
     # Peak allocation during the energy grows by the per-node scalars
     # only (here < 64 bytes per node), not by the O(M n^2 N) jet, which
     # is 768 bytes per node for this chart.
     patch, _ = willmore_torus(2, 4)
-    peaks = []
-    for res in (12, 24):
-        grid = QuadratureGrid.for_patch(patch, res)
-        grid.points(), grid.weights()  # the grid's own arrays are not the energy's
-        tracemalloc.start()
-        try:
-            willmore_energy(patch, grid)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = _traced_peaks(willmore_energy, patch, (12, 24), prebuild=True)
     assert peaks[1] - peaks[0] < 4 * 16 * 24**4
 
 
 def test_energy_memory_holds_no_node_array():
-    # The kernel gathers its nodes per chunk, so with no grid array
-    # built beforehand the peak grows by the per-node scalars alone
-    # (rho^2 and sqrt g), not by an M x n node array.
+    # The kernel gathers nodes and weights per chunk, so with no grid
+    # array built beforehand the peak grows by the one 8-byte density
+    # per node alone (8.06 bytes measured), not by rho^2, sqrt g, the
+    # weights or an M x n node array (16 bytes with two of them).
     patch, _ = willmore_torus(2, 4)
-    peaks = []
-    for res in (12, 24):
-        grid = QuadratureGrid.for_patch(patch, res)
-        tracemalloc.start()
-        try:
-            willmore_energy(patch, grid)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert "_points" not in grid.__dict__
-    assert peaks[1] - peaks[0] < 24 * (24**4 - 12**4)
+    peaks = _traced_peaks(willmore_energy, patch, (12, 24))
+    assert peaks[1] - peaks[0] < 10 * (24**4 - 12**4)
+
+
+def test_pinching_memory_holds_no_node_array():
+    # As for the energy: 8.06 bytes per node measured.
+    patch, _ = willmore_torus(2, 4)
+    peaks = _traced_peaks(pinching_integral, patch, (12, 24))
+    assert peaks[1] - peaks[0] < 10 * (24**4 - 12**4)
+
+
+def test_energy_chunk_working_set_stays_small():
+    # product-spheres:2,2,1 has the largest jet per point of the
+    # benchmark charts (1600 bytes); at 512-point chunks with reused work
+    # buffers one 8^5 energy peaks at 5.1 MiB, of which the density is
+    # 0.25 MiB. 2048-point chunks with fresh temporaries read 20.2 MiB.
+    patch = resolve("product-spheres:2,2,1").patch
+    (peak,) = _traced_peaks(willmore_energy, patch, (8,))
+    assert peak < 6 * 2**20
 
 
 def test_surface_residual_memory_follows_the_chunk_not_the_grid():
@@ -277,7 +303,7 @@ def test_surface_residual_memory_follows_the_chunk_not_the_grid():
 def test_surface_residual_reports_the_global_point_index():
     patch, _ = clifford_torus(1, 2)
     grid = QuadratureGrid.for_patch(patch, 64)
-    bad = _CHUNK + 3
+    bad = _chunk_points(patch) + 3
     theta = grid.points()[bad]
 
     def degenerate(t):
@@ -287,3 +313,62 @@ def test_surface_residual_reports_the_global_point_index():
 
     with pytest.raises(RankError, match=f"rank deficient at point index {bad} "):
         el_residual_surface(replace(patch, exact_jet=degenerate), grid)
+
+
+def _reference_integral(patch, grid, density_of):
+    """The whole-array quadrature, kept as the bit-for-bit reference.
+
+    One Gram-Schmidt pass and h over every node at once, rho^2 and
+    sqrt g as whole arrays, the weights as the outer product of the 1-d
+    rules, and one np.sum.
+    """
+    x, first, second = _jets(patch, grid.points(), FD_STEP)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tangent, r_inv, sqrt_g = _tangent_gram_schmidt(first)
+    m, n, nd = first.shape
+    coef = np.ascontiguousarray(r_inv.transpose(2, 1, 0))
+    h = (coef @ second.reshape(m, n, n * nd)).reshape(m, n, n, nd)
+    h = (coef[:, None] @ h).reshape(m, n * n, nd)
+    frame = np.concatenate([tangent, x.T[None]])
+    cols = np.ascontiguousarray(frame.transpose(2, 1, 0))
+    rows = np.ascontiguousarray(frame.transpose(2, 0, 1))
+    h -= (h @ cols) @ rows
+    h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(m, n, n, nd))[:, None] / n
+    rho_sq = np.einsum("cpj,cpj->c", h, h)
+    weights = grid.weights_1d[0]
+    for axis_weights in grid.weights_1d[1:]:
+        weights = np.multiply.outer(weights, axis_weights)
+    density = density_of(rho_sq, sqrt_g) * weights.reshape(-1)
+    return float(np.sum(density)) / patch.cover_multiplicity
+
+
+@pytest.mark.parametrize(
+    "ident, res",
+    [
+        ("clifford-torus:1,2", 70),
+        ("round-sphere:2,1,0.8", 66),  # doubled chart with a fold
+        ("mobius(round-sphere:2,1,0.8)", 50),
+        ("veronese", 70),  # Gauss-Legendre axis, cover multiplicity 2
+        ("willmore-torus:1,3", 17),  # 4913 nodes: odd, no chunk divides it
+        ("willmore-torus:2,4", 10),
+        ("product-spheres:2,2,1", 6),
+    ],
+)
+def test_chunked_quadratures_equal_the_whole_array_reduction_bit_for_bit(ident, res):
+    if ident.startswith("mobius("):
+        source = resolve(ident[len("mobius(") : -1]).patch
+        patch = mobius_apply(random_mobius(source.ambient_dim, trial_rng(0, 0)), source)
+    else:
+        patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    assert grid.node_total > _chunk_points(patch)
+    power = patch.n / 2.0
+    got = willmore_energy(patch, grid)
+    assert got == _reference_integral(patch, grid, lambda r, s: r**power * s)
+    for mode in ("simons", "li"):
+        c = pinching_threshold(patch.n, patch.p, mode)
+        got = pinching_integral(patch, grid, mode)
+        assert got == _reference_integral(patch, grid, lambda r, s: r**power * (c - r) * s)
+    f = patch.evaluator(grid.points())[:, 0]
+    got = grid_integral(patch, grid, f.reshape(grid.shape))
+    assert got == _reference_integral(patch, grid, lambda r, s: f * s)
