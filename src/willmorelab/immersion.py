@@ -671,7 +671,13 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     differences throughout; exact for constants, second-order accurate,
     and skew-consistent with :func:`grid_gradient_pairing` so discrete
     integration by parts holds to roundoff on charts without fold axes.
-    On a doubled chart sqrt g takes the fold sign (:func:`_grid_laplacian`).
+    On a doubled chart sqrt g takes the fold sign sigma
+    (:func:`_grid_laplacian`), and integration by parts holds to
+    roundoff against sigma sqrt g: the sums of (Delta f) f sigma sqrt g w
+    and |grad f|^2 sigma sqrt g w cancel. Against the |sqrt g| of
+    :func:`grid_gradient_pairing` and ``grid_integral`` it holds only to
+    O(h^2); on ``round_sphere(2, 1, 0.8)`` with f = x_0 the gap is
+    0.076, 0.019 and 0.0048 at 32, 64 and 128 nodes per axis.
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
@@ -684,7 +690,13 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
 def grid_gradient_pairing(
     patch: ImmersionPatch, f: np.ndarray, g: np.ndarray, grid: QuadratureGrid
 ) -> float:
-    """Discrete Dirichlet pairing: integral of <grad f, grad g> dv."""
+    """Discrete Dirichlet pairing: integral of <grad f, grad g> dv.
+
+    The volume element is |sqrt g|, also on doubled charts, so this is
+    the Dirichlet pairing of the underlying submanifold. There discrete
+    integration by parts against :func:`laplace_beltrami`, which uses
+    the fold-signed sqrt g, holds only to O(h^2).
+    """
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
     _require_periodic_grid(patch, grid)

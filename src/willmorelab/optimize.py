@@ -2,17 +2,20 @@
 
 The family S^m(r) x S^{n-m}(sqrt(1-r^2)) in S^{n+1} has constant shape
 operators for every radius, so its energy is a smooth closed-form
-function of r: no quadrature enters. The balanced radius
-r = sqrt((n-m)/n) is the unique interior critical point; this module
-locates it by bisecting on the sign of a centered finite-difference
-derivative, which is what the contract asks for (criticality, not
-minimality: the critical point need not be a minimum, so no descent
-method is used).
+function of r: no quadrature enters. With s = sqrt(1 - r^2) its
+curvature scalar is rho^2 = m (n - m) / (n r^2 s^2), so W(r) is a
+constant times r^{m-n} s^{-m} and its log-slope
 
-The returned radius tracks the finite-difference zero crossing, whose
-own distance to the exact critical radius is limited by roundoff in the
-energy evaluations (around 1e-10 here); tolerances below that only
-tighten the bracket, not the physical accuracy.
+    L(r) = d ln W / dr = (m - n) / r + m r / (1 - r^2)
+
+is closed form too. L increases strictly on (0, 1) and vanishes only at
+the balanced radius r = sqrt((n-m)/n), the unique interior critical
+point. Because L is monotone, no sign scan is needed: this module checks
+the sign of L at the two ends of the radius window and bisects on it
+until the bracket holds adjacent floats, so the returned radius lies
+within one ulp of the balanced radius. It looks for criticality, not
+minimality: the critical point need not be a minimum, so no descent
+method is used.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ __all__ = [
     "family_profile",
 ]
 
-_DERIV_STEP = 1e-6
-_SCAN_SAMPLES = 128
 # Default radius window, and how close the balanced radius may come to
 # one of its ends before that end moves out.
 _WINDOW = (0.05, 0.95)
@@ -47,13 +48,17 @@ _WINDOW_MARGIN = 1e-3
 def unit_sphere_volume(k: int) -> float:
     """Riemannian volume of the unit k-sphere, from the two-step recursion
     Vol(S^j) = 2 pi / (j - 1) * Vol(S^{j-2}) seeded by Vol(S^0) = 2 and
-    Vol(S^1) = 2 pi, run as a loop from the seed up to k."""
+    Vol(S^1) = 2 pi, run as a loop from the seed up to k. The volume
+    underflows to 0.0 from about k = 500 on and stays there, so the loop
+    stops at the first 0.0."""
     k = int(k)
     if k < 0:
         raise ValueError("sphere dimension must be nonnegative")
     volume = 2.0 * math.pi if k % 2 else 2.0
     for j in range(2 + k % 2, k + 1, 2):
         volume = 2.0 * math.pi / (j - 1) * volume
+        if volume == 0.0:
+            break
     return volume
 
 
@@ -144,21 +149,22 @@ def family_energy(fam: TorusFamily, r: float) -> float:
         ) from None
 
 
-def energy_derivative(fam: TorusFamily, r: float, step: float = _DERIV_STEP) -> float:
-    """Centered finite-difference derivative dW/dr."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    fam._check_radius(r - step)
-    fam._check_radius(r + step)
-    return (family_energy(fam, r + step) - family_energy(fam, r - step)) / (2.0 * step)
+def _log_slope(fam: TorusFamily, r: float) -> float:
+    """L(r) = d ln W / dr, strictly increasing on (0, 1)."""
+    m, n = fam.m, fam.n
+    return (m - n) / r + m * r / (1.0 - r * r)
 
 
-def second_difference(fam: TorusFamily, r: float, step: float = 1e-4) -> float:
-    """Second centered difference of W at r, reported for curvature
-    inspection only; whether the critical point is a minimum or a saddle
-    is left to the caller."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+def energy_derivative(fam: TorusFamily, r: float) -> float:
+    """Closed-form derivative dW/dr = W(r) L(r)."""
+    return family_energy(fam, r) * _log_slope(fam, r)
+
+
+def second_difference(fam: TorusFamily, r: float) -> float:
+    """Second centered difference of W at r with step 1e-4, reported for
+    curvature inspection only; whether the critical point is a minimum or
+    a saddle is left to the caller."""
+    step = 1e-4
     fam._check_radius(r - step)
     fam._check_radius(r + step)
     mid = family_energy(fam, r)
@@ -167,57 +173,40 @@ def second_difference(fam: TorusFamily, r: float, step: float = 1e-4) -> float:
     )
 
 
-def _scan_radii(fam: TorusFamily, samples: int) -> np.ndarray:
-    margin = 2.0 * _DERIV_STEP
-    return np.linspace(fam.r_min + margin, fam.r_max - margin, samples)
+def find_critical_radius(fam: TorusFamily) -> float:
+    """Radius where dW/dr vanishes, by bisection on the sign of L.
 
-
-def find_critical_radius(fam: TorusFamily, tol: float = 1e-8) -> float:
-    """Radius where dW/dr crosses zero, by sign scan plus bisection.
-
-    tol bounds the final bracket width and must lie in [1e-12, 1e-3].
-    Raises if the sampled derivative never changes sign over the
-    admissible interval, reporting the sign pattern seen.
+    The bracket starts at the admissible interval and halves until its
+    ends are adjacent floats; the returned midpoint rounds to one of
+    them. Raises if L has the same sign at both ends of the interval,
+    which then holds no critical point.
     """
-    if not 1e-12 <= tol <= 1e-3:
-        raise ValueError("tol must lie in [1e-12, 1e-3]")
-    radii = _scan_radii(fam, _SCAN_SAMPLES)
-    derivs = np.array([energy_derivative(fam, float(r)) for r in radii])
-    signs = np.sign(derivs)
-    crossings = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    exact_zeros = np.nonzero(signs == 0)[0]
-    if exact_zeros.size:
-        return float(radii[exact_zeros[0]])
-    if crossings.size == 0:
-        pattern = "".join("+" if s > 0 else "-" for s in signs)
+    lo, hi = fam.r_min, fam.r_max
+    l_lo, l_hi = _log_slope(fam, lo), _log_slope(fam, hi)
+    if not l_lo < 0.0 < l_hi:
         raise ValueError(
-            "derivative has no sign change on "
-            f"({fam.r_min}, {fam.r_max}); sampled signs: {pattern}"
+            f"derivative has no sign change on ({lo}, {hi}): "
+            f"d ln W/dr is {l_lo:.3g} and {l_hi:.3g} at its ends"
         )
-    lo = float(radii[crossings[0]])
-    hi = float(radii[crossings[0] + 1])
-    d_lo = float(derivs[crossings[0]])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        d_mid = energy_derivative(fam, mid)
-        if d_mid == 0.0:
-            return mid
-        if (d_mid > 0) == (d_lo > 0):
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _log_slope(fam, mid) < 0.0:
             lo = mid
-            d_lo = d_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def family_profile(fam: TorusFamily, samples: int = 200) -> np.ndarray:
-    """Table of (r, W(r), dW/dr) rows over the admissible interval."""
+    """Table of (r, W(r), dW/dr) rows at the midpoints of ``samples``
+    equal cells of the admissible interval."""
     if samples < 2:
         raise ValueError("need at least two samples")
-    radii = _scan_radii(fam, samples)
+    width = (fam.r_max - fam.r_min) / samples
     rows = np.empty((samples, 3))
-    for i, r in enumerate(radii):
-        rows[i, 0] = r
-        rows[i, 1] = family_energy(fam, float(r))
-        rows[i, 2] = energy_derivative(fam, float(r))
+    for i in range(samples):
+        r = fam.r_min + (i + 0.5) * width
+        energy = family_energy(fam, r)
+        rows[i] = r, energy, energy * _log_slope(fam, r)
     return rows

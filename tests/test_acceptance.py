@@ -327,9 +327,10 @@ def test_family_critical_radius(report):
     for m, n in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]:
         fam = TorusFamily(m, n)
         r_star = find_critical_radius(fam)
-        worst = max(worst, abs(r_star - math.sqrt((n - m) / n)))
-    ok = worst <= 1e-6
-    report("torus family critical radius", ok, f"worst radius error {worst:.1e}")
+        balanced = math.sqrt((n - m) / n)
+        worst = max(worst, abs(r_star - balanced) / math.ulp(balanced))
+    ok = worst <= 1.0
+    report("torus family critical radius", ok, f"worst radius error {worst:g} ulp")
 
 
 def test_numerical_self_consistency(report):

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,14 +216,15 @@ def test_optimize_asserts_on_every_pair_up_to_twelve(capsys):
 def test_optimize_tolerance_is_the_assert_gate(capsys):
     # --tolerance once set the bisection bracket (clamped to [1e-12,
     # 1e-3]) while --assert gated at a fixed 1e-6, so a loose tolerance
-    # failed and an impossible one passed.
+    # failed and an impossible one passed. The radius of (1, 2) is one
+    # ulp, 1.1e-16, from the balanced radius.
     code, out, err = run(capsys, ["optimize", "1", "3", "--tolerance", "0.5", "--assert"])
     assert (code, err) == (0, "")
     assert json.loads(out)["difference"] < 1e-6
-    code, out, err = run(capsys, ["optimize", "1", "3", "--tolerance", "1e-300", "--assert"])
+    code, out, err = run(capsys, ["optimize", "1", "2", "--tolerance", "1e-17", "--assert"])
     assert code == 1
     assert err.startswith("assertion failed: critical radius ")
-    assert err.endswith("by more than 1.0e-300\n")
+    assert err.endswith("by more than 1.0e-17\n")
 
 
 def test_optimize_csv_profile(capsys):
@@ -291,6 +295,22 @@ def test_optimize_overflow_is_an_error_line(capsys):
         code, out, err = run(capsys, ["optimize", str(m), str(n), "--assert"])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "overflows" in err
+
+
+def test_optimize_in_huge_dimension_is_an_error_line_not_a_hang():
+    # Vol(S^k) once looped over all k/2 steps long after it had
+    # underflowed to 0.0, for hours at k = 1e12, before the overflow was
+    # reported. A fresh process with a timeout fails instead of hanging.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["optimize", "1", "1000000000000", "--assert"]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from willmorelab.cli import main; sys.exit(main())"]
+        + argv,
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "overflows" in done.stderr
 
 
 _OPTIONS = {
@@ -401,6 +421,32 @@ _GOLDEN = [
             "maps": _maps(39.47841760435743, [0.0, 0.0, 0.0]),
             "max_drift": 0.0,
             "mode": "conformal",
+        },
+    ),
+    (
+        ["optimize", "1", "2"],
+        {
+            "m": 1,
+            "n": 2,
+            "critical_radius": 0.7071067811865475,
+            "balanced_radius": 0.7071067811865476,
+            "difference": 1.1102230246251565e-16,
+            "energy": 39.47841760435744,
+            "second_difference": 315.82736070845385,
+            "mode": "optimize",
+        },
+    ),
+    (
+        ["optimize", "1", "3"],
+        {
+            "m": 1,
+            "n": 3,
+            "critical_radius": 0.816496580927726,
+            "balanced_radius": 0.816496580927726,
+            "difference": 0.0,
+            "energy": 111.66182719422203,
+            "second_difference": 2009.9132356676819,
+            "mode": "optimize",
         },
     ),
     (

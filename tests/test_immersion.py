@@ -26,8 +26,10 @@ from willmorelab.immersion import (
     _complete_normals,
     _fd_jets,
     _chunk_points,
+    _fold_sign,
     _integrand_fields,
     _jets,
+    _periodic_partial,
     grid_gradient_pairing,
     laplace_beltrami,
     mobius_apply,
@@ -37,7 +39,7 @@ from willmorelab.immersion import (
     shape_batch,
     shape_data,
 )
-from willmorelab.willmore import willmore_energy
+from willmorelab.willmore import grid_integral, willmore_energy
 
 
 def _flat_patch():
@@ -236,6 +238,49 @@ def test_discrete_integration_by_parts_is_exact():
     assert abs(lhs + pairing) < 1e-12
     # and the pairing is symmetric
     assert abs(pairing - grid_gradient_pairing(patch, g, f, grid)) < 1e-12
+
+
+def _fold_signed_sums(patch, f, lap, grid):
+    # Sum (Delta f) f sigma sqrt g w and sum |grad f|^2 sigma sqrt g w,
+    # with sigma the fold sign that laplace_beltrami puts on sqrt g.
+    _, sqrt_g, ginv = _integrand_fields(patch, grid.points())
+    sg = sqrt_g.reshape(grid.shape) * _fold_sign(patch, np.ix_(*grid.nodes_1d))
+    ginv = ginv.reshape(grid.shape + (2, 2))
+    spacings = [grid.spacing(a) for a in range(2)]
+    df = [_periodic_partial(f, a, spacings[a]) for a in range(2)]
+    grad_sq = sum(ginv[..., a, b] * df[a] * df[b] for a in range(2) for b in range(2))
+    weight = spacings[0] * spacings[1] / patch.cover_multiplicity
+    return float(np.sum(lap * f * sg) * weight), float(np.sum(grad_sq * sg) * weight)
+
+
+def test_integration_by_parts_on_a_folded_chart_takes_the_fold_sign():
+    # On a doubled chart, laplace_beltrami divides a fold-signed flux by
+    # the fold-signed sqrt g. Discrete integration by parts then holds to
+    # roundoff against sigma sqrt g, and only to O(h^2) against the |sqrt g|
+    # of grid_integral and grid_gradient_pairing.
+    sphere = round_sphere(2, 1, 0.8)
+    gaps = []
+    for res in (32, 64, 128):
+        grid = QuadratureGrid.for_patch(sphere, res)
+        f = sphere.evaluator(grid.points())[:, 0].reshape(grid.shape)
+        lap = laplace_beltrami(sphere, f, grid)
+        lap_f, grad_sq = _fold_signed_sums(sphere, f, lap, grid)
+        assert abs(lap_f + grad_sq) <= 2.2e-15, res
+        gaps.append(grid_integral(sphere, grid, lap * f) + grid_gradient_pairing(sphere, f, f, grid))
+    # Measured 0.0764, 0.0193 and 0.00484: second order.
+    assert gaps[0] > 0.05
+    assert 3.5 < gaps[0] / gaps[1] < 4.5 and 3.5 < gaps[1] / gaps[2] < 4.5, gaps
+    # f = x_0 lives on the sphere, and the two sheets of the chart carry
+    # opposite orientations, so each fold-signed sum above vanishes by
+    # itself. With a chart term added to x_0 the sums are O(1) and still
+    # cancel to roundoff.
+    grid = QuadratureGrid.for_patch(sphere, 64)
+    u = grid.points().reshape(grid.shape + (2,))
+    f = sphere.evaluator(grid.points())[:, 0].reshape(grid.shape)
+    f = f + np.cos(u[..., 0] + 0.3) * np.sin(u[..., 1] + 0.2) + 0.1 * np.sin(2.0 * u[..., 0])
+    lap_f, grad_sq = _fold_signed_sums(sphere, f, laplace_beltrami(sphere, f, grid), grid)
+    assert grad_sq > 1.0
+    assert abs(lap_f + grad_sq) <= 1e-14 * grad_sq
 
 
 def test_mobius_identity_map_is_exact():

@@ -36,7 +36,7 @@ def _recursive_sphere_volume(k):
 
 
 def test_unit_sphere_volume_loop_matches_the_recursion():
-    for k in range(41):
+    for k in list(range(41)) + [454, 455, 456, 457, 600, 601]:
         assert unit_sphere_volume(k) == _recursive_sphere_volume(k)
     assert math.isfinite(unit_sphere_volume(5000))
 
@@ -52,9 +52,7 @@ def test_family_validation():
     with pytest.raises(ValueError):
         family_energy(fam, 0.999)
     with pytest.raises(ValueError):
-        energy_derivative(fam, 0.5, step=0.0)
-    with pytest.raises(ValueError):
-        second_difference(fam, 0.5, step=-1.0)
+        energy_derivative(fam, 0.999)
 
 
 def test_default_window_moves_out_only_where_needed():
@@ -83,6 +81,23 @@ def test_closed_form_energy_oracles():
     assert abs(val - 8.0 * math.sqrt(2.0) * math.pi**2) < 1e-9
 
 
+def _centred_difference(fam, r, step=1e-6):
+    # The former finite-difference energy_derivative, kept as the reference.
+    return (family_energy(fam, r + step) - family_energy(fam, r - step)) / (2.0 * step)
+
+
+def test_closed_form_derivative_matches_the_centred_difference():
+    # Relative to the largest |dW/dr| of each sweep: the derivative itself
+    # vanishes at the balanced radius. Measured 1.6e-10 to 1.9e-9.
+    rs = [float(r) for r in np.linspace(0.08, 0.92, 400)]
+    for n in range(2, 9):
+        for m in range(1, n):
+            fam = TorusFamily(m, n)
+            exact = np.array([energy_derivative(fam, r) for r in rs])
+            ref = np.array([_centred_difference(fam, r) for r in rs])
+            assert np.abs(exact - ref).max() <= 1e-8 * np.abs(exact).max(), (m, n)
+
+
 def test_derivative_changes_sign_exactly_once():
     for n in range(2, 7):
         for m in range(1, n):
@@ -96,35 +111,30 @@ def test_derivative_changes_sign_exactly_once():
 
 
 def test_critical_radius_matches_balanced_value():
-    for m, n in [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 4)]:
-        fam = TorusFamily(m, n)
-        r_star = find_critical_radius(fam, tol=1e-10)
-        assert abs(r_star - fam.balanced_radius) < 1e-8
-        res = el_residual_isoparametric(fam.spec_at(r_star))
-        assert res.norm < 1e-6
+    # Every pair 1 <= m < n <= 12; residuals measured up to 1.7e-13.
+    for n in range(2, 13):
+        for m in range(1, n):
+            fam = TorusFamily(m, n)
+            r_star = find_critical_radius(fam)
+            balanced = math.sqrt((n - m) / n)
+            assert abs(r_star - balanced) <= math.ulp(balanced), (m, n)
+            res = el_residual_isoparametric(fam.spec_at(r_star))
+            assert res.norm < 1e-12, (m, n)
 
 
 def test_swap_symmetry_of_critical_radii():
     for m, n in [(1, 3), (2, 5), (1, 4)]:
         fam = TorusFamily(m, n)
         dual = TorusFamily(n - m, n)
-        r1 = find_critical_radius(fam, tol=1e-12)
-        r2 = find_critical_radius(dual, tol=1e-12)
-        assert abs(r1**2 + r2**2 - 1.0) < 1e-10
+        r1 = find_critical_radius(fam)
+        r2 = find_critical_radius(dual)
+        assert abs(r1**2 + r2**2 - 1.0) <= 4.0 * np.finfo(float).eps
 
 
 def test_critical_point_is_a_minimum():
     fam = TorusFamily(2, 4)
     r_star = find_critical_radius(fam)
     assert second_difference(fam, r_star) > 0.0
-
-
-def test_find_critical_radius_tol_bounds():
-    fam = TorusFamily(1, 2)
-    with pytest.raises(ValueError):
-        find_critical_radius(fam, tol=1e-13)
-    with pytest.raises(ValueError):
-        find_critical_radius(fam, tol=1e-2)
 
 
 def test_no_crossing_window_is_reported():
