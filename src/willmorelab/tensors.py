@@ -18,8 +18,12 @@ property suite checks a whole group of same-shaped trials in one call.
 The random draws return plain arrays: they are symmetric and trace-free
 by construction.
 
-Randomness used by the property suites flows through :func:`trial_rng`
-so that every trial is reproducible from (seed, trial index) alone.
+Randomness used by the property suites is reproducible from (seed,
+trial index) alone. :func:`trial_rng` is the one-trial reference: a
+generator seeded by ``SeedSequence(entropy=seed, spawn_key=(trial,))``.
+:func:`trial_rngs` yields the same generators for a block of trials,
+hashing the whole block's seeds at once (:func:`trial_states`) instead
+of running one SeedSequence per trial.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
     "f_tensor_decompose",
     "canonical_pair",
     "trial_rng",
+    "trial_states",
+    "trial_rngs",
     "random_symmetric",
     "random_shape_family",
     "random_trace_free_family",
@@ -333,6 +339,104 @@ def f_tensor_decompose(t: SymTensor3):
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible stream for one trial of a property suite."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+# Constants of NumPy's SeedSequence hash (a 4-word uint32 pool).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_TRIAL_WORD_END = 2**32
+
+
+def _hashmix(value: np.ndarray, const: list, mult: int = _MULT_A) -> np.ndarray:
+    """SeedSequence's hashmix; ``const`` holds the evolving hash constant.
+
+    With ``mult = _MULT_B`` it is the output hash of ``generate_state``.
+    """
+    value = value ^ np.uint32(const[0])
+    const[0] = const[0] * mult & _MASK32
+    value = value * np.uint32(const[0])
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def trial_states(seed: int, trials) -> np.ndarray:
+    """(k, 4) uint64 PCG64 seeds, row i equal to
+    ``SeedSequence(entropy=seed, spawn_key=(trials[i],)).generate_state(4, np.uint64)``.
+
+    Every trial index must lie below 2**32, so that it is one entropy
+    word. The entropy is then the seed's little-endian uint32 words,
+    zero-padded to the pool size, followed by the trial word: the hash
+    constants evolve the same way for every trial, and one pass of
+    uint32 arithmetic hashes the whole block. Trial-independent words
+    are (1,)-arrays that broadcast against the block.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [np.array([seed >> shift & _MASK32], dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    words.append(np.asarray(trials, dtype=np.uint32))
+
+    const = [_INIT_A]
+    pool = [_hashmix(word, const) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const))
+
+    const = [_INIT_B]
+    state = np.empty((len(words[-1]), 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        state[:, i] = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _PresetSeed:
+    """Seed sequence whose only state is one precomputed PCG64 seed row.
+
+    PCG64 asks its seed sequence for exactly that: 4 uint64 words.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def trial_rngs(seed: int, trials: range):
+    """Yield one generator per trial of the ascending range ``trials``,
+    each equal to ``trial_rng(seed, t)``: it draws the same values.
+
+    The SeedSequence hash of the whole block is computed at once by
+    :func:`trial_states`, which keeps only the (block, 4) uint64 seeds;
+    each ``Generator(PCG64(...))`` is built from its row as it is
+    yielded. Trials at or above 2**32 fall back to :func:`trial_rng`.
+    ``numpy.random`` is imported here, on first use, so importing the
+    package does not load it.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PresetSeed)
+    hashed = range(trials.start, min(trials.stop, _TRIAL_WORD_END), trials.step)
+    for state in trial_states(seed, hashed):
+        yield Generator(PCG64(_PresetSeed(state)))
+    for trial in trials[len(hashed):]:
+        yield trial_rng(seed, trial)
 
 
 def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:

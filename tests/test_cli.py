@@ -313,6 +313,16 @@ def test_optimize_in_huge_dimension_is_an_error_line_not_a_hang():
     assert "overflows" in done.stderr
 
 
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy.random costs about 15 ms to import; the randomized suites
+    # import it on first use, so start-up of every other command skips it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, willmorelab.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 _OPTIONS = {
     "catalog": [],
     "shape": ["--point"],

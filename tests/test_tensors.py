@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from willmorelab.linalg import SymmetricMatrix, frob_norm_sq
 from willmorelab.tensors import (
@@ -16,6 +18,8 @@ from willmorelab.tensors import (
     random_trace_free_family,
     traceless_part,
     trial_rng,
+    trial_rngs,
+    trial_states,
 )
 
 TRIALS = 300
@@ -239,6 +243,57 @@ def test_trial_rng_reproducibility():
     c = trial_rng(5, 18).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+HASH_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+def _seed_sequence_state(seed, trial):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(int(trial),))
+    return seq.generate_state(4, np.uint64)
+
+
+def _same_draws(rng, ref):
+    return (
+        np.array_equal(rng.integers(0, 2**40, size=3), ref.integers(0, 2**40, size=3))
+        and np.array_equal(rng.uniform(-1.0, 1.0, size=5), ref.uniform(-1.0, 1.0, size=5))
+        and np.array_equal(rng.normal(size=4), ref.normal(size=4))
+    )
+
+
+@pytest.mark.parametrize("seed", HASH_SEEDS)
+def test_trial_states_match_seed_sequence(seed):
+    states = trial_states(seed, range(100_001))
+    assert states.shape == (100_001, 4) and states.dtype == np.uint64
+    sample = np.random.default_rng(seed % 2**32).choice(100_001, size=200, replace=False)
+    for trial in np.r_[0:16, sample, 100_000]:
+        assert np.array_equal(states[trial], _seed_sequence_state(seed, trial)), trial
+    top = trial_states(seed, [2**32 - 1])
+    assert np.array_equal(top[0], _seed_sequence_state(seed, 2**32 - 1))
+
+
+@pytest.mark.parametrize("seed", HASH_SEEDS)
+def test_trial_rngs_draw_like_trial_rng(seed):
+    for trials in (range(0, 40), range(99_990, 100_001, 3), range(2**32 - 3, 2**32 + 3)):
+        rngs = list(trial_rngs(seed, trials))
+        assert len(rngs) == len(trials)
+        for trial, rng in zip(trials, rngs):
+            assert _same_draws(rng, trial_rng(seed, trial)), trial
+
+
+def test_trial_states_reject_a_negative_seed_like_seed_sequence():
+    with pytest.raises(ValueError):
+        trial_rng(-1, 0)
+    with pytest.raises(ValueError):
+        trial_states(-1, range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**32 - 1))
+def test_trial_states_match_seed_sequence_property(seed, trial):
+    assert np.array_equal(trial_states(seed, [trial])[0], _seed_sequence_state(seed, trial))
+    (rng,) = trial_rngs(seed, range(trial, trial + 1))
+    assert _same_draws(rng, trial_rng(seed, trial))
 
 
 def _per_item(stack, lead):
