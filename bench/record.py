@@ -9,6 +9,9 @@ checkout:
     python3 bench/record.py --parent ../parent --change ../change \\
         --workload conformal-suites --seeds 1-10 --seconds 56 --out BENCH_12.json
 
+Use git clones as checkouts: perfbench reads each side's commit from
+its ``.git``.
+
 For each workload and end-to-end metric the file records, per side, the
 min, quartiles and median of the runs and the number of pairs that side
 won (ties count for neither), with the direction each metric improves
@@ -16,15 +19,27 @@ in taken from ``BENCHMARK.json``. It also keeps every pair's metrics,
 both commits and the environment lines perfbench printed. Optional
 traced runs (``--traced-runs``, seeds after the untraced ones) add the
 per-layer medians of each side.
+
+``--cli "ARGS"`` times whole CLI runs, ``python3 -m willmorelab.cli
+ARGS`` with one BLAS thread, ``--repeats`` alternating pairs of them:
+wall time and peak RSS per side, summarized the same way, and whether
+both sides printed the same bytes with the same exit code. These times
+are not normalized to a reference host speed.
+
+An existing ``--out`` file is updated: its other workloads and CLI runs
+stay.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,27 +143,62 @@ def record_workload(checkouts: dict, workload: str, seeds: list[int], seconds: i
     return entry
 
 
+def _time_cli(checkout: Path, argv: list[str]) -> tuple[dict, int, bytes]:
+    """Wall time and peak RSS of one fresh CLI process, its exit code and stdout."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "willmorelab.cli", *argv], cwd=checkout,
+                            env=env, stdout=subprocess.PIPE)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}, proc.returncode, out
+
+
+def record_cli(checkouts: dict, args: str, repeats: int) -> dict:
+    argv = shlex.split(args)
+    pairs, outputs = [], set()
+    for repeat in range(1, repeats + 1):
+        order = SIDES if repeat % 2 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side], code, out = _time_cli(checkouts[side], argv)
+            outputs.add((code, out))
+            print(f"{args} {side}: {json.dumps(pair[side])}", file=sys.stderr)
+        pairs.append(pair)
+    return {"metrics": compare(pairs, {"wall_s": "lower", "peak_rss_mb": "lower"}),
+            "same_output": len(outputs) == 1,
+            "exit_codes": sorted({code for code, _ in outputs}), "pairs": pairs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
-    parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", type=_seeds, required=True, help="N or FIRST-LAST")
+    parser.add_argument("--workload", action="append", default=[])
+    parser.add_argument("--seeds", type=_seeds, default="1-10", help="N or FIRST-LAST")
     parser.add_argument("--seconds", type=int, default=56)
     parser.add_argument("--traced-runs", type=int, default=0)
+    parser.add_argument("--cli", action="append", default=[], help="CLI arguments to time")
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
-    record = {
+    record = json.loads(args.out.read_text()) if args.out.exists() else {
         "command": (f"python3 perfbench/run.py --workload W --seed N "
                     f"--seconds {args.seconds} --trace 0"),
         "order": "one pair per seed; the parent runs first on odd seeds",
-        "workloads": {name: record_workload(checkouts, name, args.seeds, args.seconds,
-                                            args.traced_runs, better)
-                      for name in args.workload},
     }
+    for name in args.workload:
+        record.setdefault("workloads", {})[name] = record_workload(
+            checkouts, name, args.seeds, args.seconds, args.traced_runs, better)
+    for cli_args in args.cli:
+        record.setdefault("cli", {})[cli_args] = record_cli(checkouts, cli_args, args.repeats)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

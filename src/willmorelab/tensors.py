@@ -399,7 +399,9 @@ def trial_states(seed: int, trials) -> np.ndarray:
     state = np.empty((len(words[-1]), 2 * _POOL_SIZE), dtype="<u4")
     for i in range(2 * _POOL_SIZE):
         state[:, i] = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-    return state.view("<u8").astype(np.uint64)
+    # Word pairs read as little-endian uint64, as SeedSequence reads them;
+    # a copy only on big-endian hosts.
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 class _PresetSeed:

@@ -80,3 +80,38 @@ def test_record_workload_alternates_sides_on_canned_runs(monkeypatch):
     assert [pair["first"] for pair in entry["pairs"]] == ["parent", "change", "parent"]
     assert entry["metrics"]["pass_s"]["change"]["pairs_won"] == 3
     assert entry["metrics"]["digits"]["change"]["pairs_won"] == 0
+
+
+def test_time_cli_reports_wall_time_peak_rss_and_output():
+    metrics, code, out = record._time_cli(_PATH.parents[1], ["catalog"])
+    assert code == 0 and "veronese" in json.loads(out)["ids"]
+    assert metrics["wall_s"] > 0 and metrics["peak_rss_mb"] > 1
+
+
+def test_record_cli_alternates_sides_and_compares_outputs(monkeypatch):
+    calls = []
+
+    def fake_time_cli(checkout, argv):
+        calls.append(checkout.name)
+        wall = 1.0 if checkout.name == "parent" else 0.5
+        return {"wall_s": wall, "peak_rss_mb": 50.0}, 0, b"{}\n"
+
+    monkeypatch.setattr(record, "_time_cli", fake_time_cli)
+    checkouts = {"parent": Path("parent"), "change": Path("change")}
+    entry = record.record_cli(checkouts, "matrix-props --trials 10", 3)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert entry["same_output"] and entry["exit_codes"] == [0]
+    assert entry["metrics"]["wall_s"]["change"]["pairs_won"] == 3
+    assert entry["metrics"]["peak_rss_mb"]["change"]["pairs_won"] == 0
+    assert entry["metrics"]["peak_rss_mb"]["parent"]["pairs_won"] == 0
+
+
+def test_main_updates_an_existing_file(monkeypatch, tmp_path):
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"workloads": {"quadrature": {"seeds": [1]}}, "cli": {}}))
+    monkeypatch.setattr(record, "record_cli", lambda checkouts, args, repeats: {"n": repeats})
+    argv = ["--parent", "p", "--change", "c", "--cli", "catalog", "--repeats", "2",
+            "--out", str(out)]
+    assert record.main(argv) == 0
+    assert json.loads(out.read_text()) == {"workloads": {"quadrature": {"seeds": [1]}},
+                                           "cli": {"catalog": {"n": 2}}}
