@@ -7,10 +7,11 @@ compare checkouts whose ``perfbench/`` is identical. From the root of a
 checkout:
 
     python3 bench/record.py --parent ../parent --change ../change \\
-        --workload conformal-suites --seeds 1-10 --seconds 56 --out BENCH_12.json
+        --workload conformal-suites --seeds 1-10 --out BENCH_12.json
 
-Use git clones as checkouts: perfbench reads each side's commit from
-its ``.git``.
+Each run lasts ``run_seconds`` of ``BENCHMARK.json``, the length the
+benchmark itself uses. Use git clones as checkouts: perfbench reads
+each side's commit from its ``.git``.
 
 For each workload and end-to-end metric the file records, per side, the
 min, quartiles and median of the runs and the number of pairs that side
@@ -180,7 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
     parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--seeds", type=_seeds, default="1-10", help="N or FIRST-LAST")
-    parser.add_argument("--seconds", type=int, default=56)
     parser.add_argument("--traced-runs", type=int, default=0)
     parser.add_argument("--cli", action="append", default=[], help="CLI arguments to time")
     parser.add_argument("--repeats", type=int, default=5)
@@ -188,15 +188,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     record = json.loads(args.out.read_text()) if args.out.exists() else {
         "command": (f"python3 perfbench/run.py --workload W --seed N "
-                    f"--seconds {args.seconds} --trace 0"),
+                    f"--seconds {seconds} --trace 0"),
         "order": "one pair per seed; the parent runs first on odd seeds",
     }
     for name in args.workload:
         record.setdefault("workloads", {})[name] = record_workload(
-            checkouts, name, args.seeds, args.seconds, args.traced_runs, better)
+            checkouts, name, args.seeds, seconds, args.traced_runs, better)
     for cli_args in args.cli:
         record.setdefault("cli", {})[cli_args] = record_cli(checkouts, cli_args, args.repeats)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -22,8 +22,8 @@ Randomness used by the property suites is reproducible from (seed,
 trial index) alone. :func:`trial_rng` is the one-trial reference: a
 generator seeded by ``SeedSequence(entropy=seed, spawn_key=(trial,))``.
 :func:`trial_rngs` yields the same generators for a block of trials,
-hashing the whole block's seeds at once (:func:`trial_states`) instead
-of running one SeedSequence per trial.
+hashing the seeds of up to ``_HASH_BLOCK`` trials at once instead of
+running one SeedSequence per trial.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "f_tensor_decompose",
     "canonical_pair",
     "trial_rng",
-    "trial_states",
     "trial_rngs",
     "random_symmetric",
     "random_shape_family",
@@ -348,6 +347,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _TRIAL_WORD_END = 2**32
+# Trials hashed at once: enough to spread the ~40 array operations of the
+# hash thinly, small enough that its temporaries stay a few KiB.
+_HASH_BLOCK = 512
 
 
 def _hashmix(value: np.ndarray, const: list, mult: int = _MULT_A) -> np.ndarray:
@@ -366,7 +368,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> np.uint32(16))
 
 
-def trial_states(seed: int, trials) -> np.ndarray:
+def _trial_states(seed: int, trials) -> np.ndarray:
     """(k, 4) uint64 PCG64 seeds, row i equal to
     ``SeedSequence(entropy=seed, spawn_key=(trials[i],)).generate_state(4, np.uint64)``.
 
@@ -423,20 +425,21 @@ def trial_rngs(seed: int, trials: range):
     """Yield one generator per trial of the ascending range ``trials``,
     each equal to ``trial_rng(seed, t)``: it draws the same values.
 
-    The SeedSequence hash of the whole block is computed at once by
-    :func:`trial_states`, which keeps only the (block, 4) uint64 seeds;
-    each ``Generator(PCG64(...))`` is built from its row as it is
-    yielded. Trials at or above 2**32 fall back to :func:`trial_rng`.
-    ``numpy.random`` is imported here, on first use, so importing the
-    package does not load it.
+    The SeedSequence hash is computed :data:`_HASH_BLOCK` trials at a
+    time by :func:`_trial_states`, which keeps only their (block, 4)
+    uint64 seeds; each ``Generator(PCG64(...))`` is built from its row as
+    it is yielded. Trials at or above 2**32 fall back to
+    :func:`trial_rng`. ``numpy.random`` is imported here, on first use,
+    so importing the package does not load it.
     """
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_PresetSeed)
     hashed = range(trials.start, min(trials.stop, _TRIAL_WORD_END), trials.step)
-    for state in trial_states(seed, hashed):
-        yield Generator(PCG64(_PresetSeed(state)))
+    for start in range(0, len(hashed), _HASH_BLOCK):
+        for state in _trial_states(seed, hashed[start:start + _HASH_BLOCK]):
+            yield Generator(PCG64(_PresetSeed(state)))
     for trial in trials[len(hashed):]:
         yield trial_rng(seed, trial)
 

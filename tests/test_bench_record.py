@@ -115,3 +115,22 @@ def test_main_updates_an_existing_file(monkeypatch, tmp_path):
     assert record.main(argv) == 0
     assert json.loads(out.read_text()) == {"workloads": {"quadrature": {"seeds": [1]}},
                                            "cli": {"catalog": {"n": 2}}}
+
+
+def test_main_runs_for_the_benchmark_run_seconds(monkeypatch, tmp_path):
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    lengths = []
+
+    def fake_record_workload(checkouts, workload, seeds, seconds, traced_runs, better):
+        lengths.append(seconds)
+        return {"seeds": seeds}
+
+    monkeypatch.setattr(record, "record_workload", fake_record_workload)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "p", "--change", "c", "--workload", "quadrature", "--seeds", "3",
+            "--out", str(out)]
+    assert record.main(argv) == 0
+    assert lengths == [spec["run_seconds"]]
+    assert f"--seconds {spec['run_seconds']} " in json.loads(out.read_text())["command"]
+    with pytest.raises(SystemExit):
+        record.main(argv + ["--seconds", "20"])

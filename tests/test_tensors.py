@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from willmorelab.linalg import SymmetricMatrix, frob_norm_sq
 from willmorelab.tensors import (
+    _HASH_BLOCK,
     ShapeFamily,
     SymTensor3,
     TraceFreeFamily,
+    _trial_states,
     canonical_pair,
     check_chern_inequality,
     check_li_inequality,
@@ -19,7 +21,6 @@ from willmorelab.tensors import (
     traceless_part,
     trial_rng,
     trial_rngs,
-    trial_states,
 )
 
 TRIALS = 300
@@ -263,18 +264,19 @@ def _same_draws(rng, ref):
 
 @pytest.mark.parametrize("seed", HASH_SEEDS)
 def test_trial_states_match_seed_sequence(seed):
-    states = trial_states(seed, range(100_001))
+    states = _trial_states(seed, range(100_001))
     assert states.shape == (100_001, 4) and states.dtype == np.uint64
     sample = np.random.default_rng(seed % 2**32).choice(100_001, size=200, replace=False)
     for trial in np.r_[0:16, sample, 100_000]:
         assert np.array_equal(states[trial], _seed_sequence_state(seed, trial)), trial
-    top = trial_states(seed, [2**32 - 1])
+    top = _trial_states(seed, [2**32 - 1])
     assert np.array_equal(top[0], _seed_sequence_state(seed, 2**32 - 1))
 
 
 @pytest.mark.parametrize("seed", HASH_SEEDS)
 def test_trial_rngs_draw_like_trial_rng(seed):
-    for trials in (range(0, 40), range(99_990, 100_001, 3), range(2**32 - 3, 2**32 + 3)):
+    for trials in (range(0, 40), range(_HASH_BLOCK - 2, 2 * _HASH_BLOCK + 3, 7),
+                   range(99_990, 100_001, 3), range(2**32 - 3, 2**32 + 3)):
         rngs = list(trial_rngs(seed, trials))
         assert len(rngs) == len(trials)
         for trial, rng in zip(trials, rngs):
@@ -285,13 +287,13 @@ def test_trial_states_reject_a_negative_seed_like_seed_sequence():
     with pytest.raises(ValueError):
         trial_rng(-1, 0)
     with pytest.raises(ValueError):
-        trial_states(-1, range(3))
+        _trial_states(-1, range(3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**32 - 1))
 def test_trial_states_match_seed_sequence_property(seed, trial):
-    assert np.array_equal(trial_states(seed, [trial])[0], _seed_sequence_state(seed, trial))
+    assert np.array_equal(_trial_states(seed, [trial])[0], _seed_sequence_state(seed, trial))
     (rng,) = trial_rngs(seed, range(trial, trial + 1))
     assert _same_draws(rng, trial_rng(seed, trial))
 
