@@ -93,7 +93,7 @@ class IsoparametricSpec:
     @property
     def rho_sq(self) -> float:
         _, sigma = traceless_part(self.constant_shape)
-        return sigma.rho_sq
+        return float(np.trace(sigma))
 
 
 @dataclass(frozen=True)

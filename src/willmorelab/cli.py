@@ -34,6 +34,7 @@ from .grids import QuadratureGrid
 from .immersion import PoleError, mobius_apply, random_mobius
 from .optimize import (
     TorusFamily,
+    _check_samples,
     family_energy,
     family_profile,
     find_critical_radius,
@@ -125,18 +126,22 @@ def _emit(args: argparse.Namespace, payload: dict, rows: Callable[[], list[list]
     """Print the payload, or the CSV table that ``rows()`` builds.
 
     The table is built only to be printed (--format csv) or written
-    (--out), and before anything is printed, so a failure while building
-    it leaves stdout empty.
+    (--out). Both happen before anything is printed, so a failure while
+    building the table leaves stdout empty, and a path that cannot be
+    written is a usage error.
     """
     out = getattr(args, "out", None)
     text = _csv_text(rows()) if args.format == "csv" or out else None
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(text, end="")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -462,9 +467,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "second_difference": second_difference(fam, radius),
         "mode": "optimize",
     }
-    # family_profile refuses this too, but JSON output never calls it.
-    if args.samples < 2:
-        raise ValueError("need at least two samples")
+    # family_profile checks this too, but JSON output never calls it.
+    _check_samples(args.samples)
     _emit(args, payload, lambda: [["r", "energy", "derivative"]] + [
         [float(r), float(w), float(dw)] for r, w, dw in family_profile(fam, samples=args.samples)
     ])

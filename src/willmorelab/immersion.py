@@ -61,7 +61,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grids import AxisInterval, QuadratureGrid
-from .linalg import OrthogonalFrame, SymmetricMatrix
+from .linalg import SymmetricMatrix
 from .tensors import ShapeFamily
 
 __all__ = [
@@ -90,6 +90,8 @@ UNIT_TOL = 1e-10
 # Minimum spherical distance the patch image must keep from the
 # stereographic pole when a conformal map is applied.
 POLE_CLEARANCE = 0.1
+# Largest deviation of a ShapeData frame's Gram matrix from the identity.
+FRAME_TOL = 1e-12
 # Chunks of the frame-free integrand kernel: the largest power of two of
 # points whose second-derivative jet fits _CHUNK_BYTES, within
 # [_CHUNK_MIN, _CHUNK_MAX], so one chunk's jets and work buffers stay
@@ -173,12 +175,16 @@ class ImmersionPatch:
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Second-order data of an immersion at one chart point."""
+    """Second-order data of an immersion at one chart point.
+
+    ``tangent_frame`` (n, N) and ``normal_frame`` (p, N) hold orthonormal
+    rows, checked to :data:`FRAME_TOL` and stored read-only.
+    """
 
     position: np.ndarray
     metric: SymmetricMatrix
-    tangent_frame: OrthogonalFrame
-    normal_frame: OrthogonalFrame
+    tangent_frame: np.ndarray
+    normal_frame: np.ndarray
     second_fundamental: ShapeFamily
     mean_vector: np.ndarray
     mean_norm: float
@@ -190,9 +196,13 @@ class ShapeData:
             raise ValueError(f"rho_sq = {self.rho_sq:.3e} is negative beyond tolerance")
         if abs(self.mean_norm - float(np.linalg.norm(self.mean_vector))) > 1e-12:
             raise ValueError("mean_norm does not match mean_vector")
-        t = self.tangent_frame.vectors
-        m = self.normal_frame.vectors
-        x = self.position
+        for name in ("tangent_frame", "normal_frame"):
+            frame = np.array(getattr(self, name), dtype=float)
+            if frame.ndim != 2 or np.max(np.abs(frame @ frame.T - np.eye(len(frame)))) > FRAME_TOL:
+                raise ValueError(f"{name} rows are not orthonormal")
+            frame.flags.writeable = False
+            object.__setattr__(self, name, frame)
+        t, m, x = self.tangent_frame, self.normal_frame, self.position
         worst = max(
             float(np.max(np.abs(t @ m.T))),
             float(np.max(np.abs(t @ x))),
@@ -600,8 +610,8 @@ def shape_data(patch: ImmersionPatch, u, step: float = FD_STEP) -> ShapeData:
     return ShapeData(
         position=sb.x[0],
         metric=SymmetricMatrix(sb.metric[0]),
-        tangent_frame=OrthogonalFrame(sb.tangent[0].T),
-        normal_frame=OrthogonalFrame(sb.normal[0].T),
+        tangent_frame=sb.tangent[0].T,
+        normal_frame=sb.normal[0].T,
         second_fundamental=fam,
         mean_vector=sb.mean_vector[0],
         mean_norm=float(sb.mean_norm[0]),

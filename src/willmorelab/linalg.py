@@ -17,13 +17,10 @@ import numpy as np
 
 __all__ = [
     "SymmetricMatrix",
-    "OrthogonalFrame",
     "frob_norm_sq",
     "commutator",
     "jacobi_eigen",
 ]
-
-FRAME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,33 +54,6 @@ class SymmetricMatrix:
         if copy:
             return np.array(self.data, dtype=dtype)
         return np.asarray(self.data, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class OrthogonalFrame:
-    """Rows are pairwise orthogonal unit vectors in ambient coordinates."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.vectors, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("frame must be a 2-d array, one vector per row")
-        k, dim = arr.shape
-        if k > dim:
-            raise ValueError(f"{k} vectors cannot be orthonormal in dimension {dim}")
-        gram = arr @ arr.T
-        if np.max(np.abs(gram - np.eye(k))) > FRAME_TOL:
-            raise ValueError("frame vectors are not orthonormal")
-        arr.flags.writeable = False
-        object.__setattr__(self, "vectors", arr)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
 
 
 def frob_norm_sq(a):

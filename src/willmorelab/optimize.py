@@ -43,6 +43,8 @@ __all__ = [
 # one of its ends before that end moves out.
 _WINDOW = (0.05, 0.95)
 _WINDOW_MARGIN = 1e-3
+# Most rows of a profile; 10**6 rows of 3 floats are a 24 MB array.
+PROFILE_SAMPLES_MAX = 10**6
 
 
 def unit_sphere_volume(k: int) -> float:
@@ -198,11 +200,18 @@ def find_critical_radius(fam: TorusFamily) -> float:
     return mid
 
 
-def family_profile(fam: TorusFamily, samples: int = 200) -> np.ndarray:
-    """Table of (r, W(r), dW/dr) rows at the midpoints of ``samples``
-    equal cells of the admissible interval."""
+def _check_samples(samples: int) -> None:
+    """Refuse a profile size outside 2 .. PROFILE_SAMPLES_MAX."""
     if samples < 2:
         raise ValueError("need at least two samples")
+    if samples > PROFILE_SAMPLES_MAX:
+        raise ValueError(f"at most {PROFILE_SAMPLES_MAX} samples")
+
+
+def family_profile(fam: TorusFamily, samples: int = 200) -> np.ndarray:
+    """Table of (r, W(r), dW/dr) rows at the midpoints of ``samples``
+    equal cells of the admissible interval, 2 <= samples <= 10**6."""
+    _check_samples(samples)
     width = (fam.r_max - fam.r_min) / samples
     rows = np.empty((samples, 3))
     for i in range(samples):

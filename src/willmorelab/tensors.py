@@ -11,9 +11,11 @@ the classifier in :mod:`willmorelab.willmore`:
   where sigma_ab = <A_a, A_b> and rho^2 = trace(sigma). Both double sums
   run over ordered index pairs.
 
-The inequality kernels take the validating containers below or plain
-arrays, and plain arrays may stack many trials along leading axes, so a
-property suite checks a whole group of same-shaped trials in one call.
+The trace-free family A_a and its Gram matrix sigma are plain arrays;
+only :class:`ShapeFamily` and :class:`SymTensor3`, the types handed in
+from outside, validate on construction. The inequality kernels take
+arrays that may stack many trials along leading axes, so a property
+suite checks a whole group of same-shaped trials in one call.
 :class:`SymTensor3` and :func:`f_tensor_decompose` stack the same way.
 The random draws return plain arrays: they are symmetric and trace-free
 by construction.
@@ -36,8 +38,6 @@ from .linalg import SymmetricMatrix, commutator, frob_norm_sq, jacobi_eigen
 
 __all__ = [
     "ShapeFamily",
-    "TraceFreeFamily",
-    "SigmaMatrix",
     "SymTensor3",
     "traceless_part",
     "check_chern_inequality",
@@ -48,31 +48,8 @@ __all__ = [
     "trial_rng",
     "trial_rngs",
     "random_symmetric",
-    "random_shape_family",
     "random_trace_free_family",
 ]
-
-TRACE_TOL = 1e-13
-PSD_FLOOR = -1e-12
-
-
-def _stack(matrices: tuple[SymmetricMatrix, ...]) -> np.ndarray:
-    return np.stack([m.data for m in matrices])
-
-
-def _validate_family(n: int, p: int, matrices) -> tuple[SymmetricMatrix, ...]:
-    mats = tuple(matrices)
-    if p < 1:
-        raise ValueError("family needs at least one matrix")
-    if len(mats) != p:
-        raise ValueError(f"expected {p} matrices, got {len(mats)}")
-    for a, m in enumerate(mats):
-        if not isinstance(m, SymmetricMatrix):
-            raise TypeError(f"family entry {a} is not a SymmetricMatrix")
-        if m.dim != n:
-            raise ValueError(f"family entry {a} has dimension {m.dim}, expected {n}")
-    return mats
-
 
 @dataclass(frozen=True)
 class ShapeFamily:
@@ -88,7 +65,16 @@ class ShapeFamily:
     mean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        mats = _validate_family(self.n, self.p, self.matrices)
+        mats = tuple(self.matrices)
+        if self.p < 1:
+            raise ValueError("family needs at least one matrix")
+        if len(mats) != self.p:
+            raise ValueError(f"expected {self.p} matrices, got {len(mats)}")
+        for a, m in enumerate(mats):
+            if not isinstance(m, SymmetricMatrix):
+                raise TypeError(f"family entry {a} is not a SymmetricMatrix")
+            if m.dim != self.n:
+                raise ValueError(f"family entry {a} has dimension {m.dim}, expected {self.n}")
         object.__setattr__(self, "matrices", mats)
         mean = np.array([np.trace(m.data) / self.n for m in mats])
         mean.flags.writeable = False
@@ -96,7 +82,7 @@ class ShapeFamily:
 
     def stacked(self) -> np.ndarray:
         """(p, n, n) array of the family."""
-        return _stack(self.matrices)
+        return np.stack([m.data for m in self.matrices])
 
     @property
     def mean_norm(self) -> float:
@@ -106,51 +92,6 @@ class ShapeFamily:
     def total_norm_sq(self) -> float:
         """S = sum_a N(h^a)."""
         return float(sum(frob_norm_sq(m) for m in self.matrices))
-
-
-@dataclass(frozen=True)
-class TraceFreeFamily:
-    """Family of trace-free symmetric matrices (trace zero to 1e-13)."""
-
-    n: int
-    p: int
-    matrices: tuple[SymmetricMatrix, ...]
-
-    def __post_init__(self) -> None:
-        mats = _validate_family(self.n, self.p, self.matrices)
-        for a, m in enumerate(mats):
-            tr = abs(float(np.trace(m.data)))
-            if tr > TRACE_TOL * max(1.0, float(np.max(np.abs(m.data))) * self.n):
-                raise ValueError(f"matrix {a} has trace {tr:.3e}, not trace-free")
-        object.__setattr__(self, "matrices", mats)
-
-    def stacked(self) -> np.ndarray:
-        return _stack(self.matrices)
-
-
-@dataclass(frozen=True)
-class SigmaMatrix:
-    """Gram matrix sigma_ab = <A_a, A_b> of a trace-free family.
-
-    Positive semidefinite by construction; ``rho_sq`` is its trace.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        sym = SymmetricMatrix(self.matrix)
-        lam, _ = jacobi_eigen(sym)
-        if lam[-1] < PSD_FLOOR * max(1.0, abs(lam[0])):
-            raise ValueError(f"sigma matrix has negative eigenvalue {lam[-1]:.3e}")
-        object.__setattr__(self, "matrix", sym.data)
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rho_sq(self) -> float:
-        return float(np.trace(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -199,17 +140,15 @@ def _item_sums(arr: np.ndarray, item_ndim: int):
     return np.array([np.add.reduce(item, axis=None) for item in items]).reshape(lead)
 
 
-def traceless_part(family: ShapeFamily) -> tuple[TraceFreeFamily, SigmaMatrix]:
+def traceless_part(family: ShapeFamily) -> tuple[np.ndarray, np.ndarray]:
     """Split off the mean: A_a = h^a - H^a I, with its Gram matrix.
 
-    The returned SigmaMatrix satisfies rho_sq = S - n |H|^2.
+    Returns ``(tf, sigma)``: the (p, n, n) array of the A_a and the
+    (p, p) array sigma_ab = <A_a, A_b>, whose trace is
+    rho^2 = S - n |H|^2.
     """
-    h = family.stacked()
-    eye = np.eye(family.n)
-    tf = h - family.mean[:, None, None] * eye
-    sigma = np.einsum("aij,bij->ab", tf, tf)
-    mats = tuple(SymmetricMatrix(m) for m in tf)
-    return TraceFreeFamily(family.n, family.p, mats), SigmaMatrix(sigma)
+    tf = family.stacked() - family.mean[:, None, None] * np.eye(family.n)
+    return tf, np.einsum("aij,bij->ab", tf, tf)
 
 
 def check_chern_inequality(a, b):
@@ -284,11 +223,9 @@ def check_li_inequality(family):
 
     Both sums run over ordered pairs (a, b), so off-diagonal terms count
     twice. Nonnegative for every trace-free family with n >= 2. Takes a
-    :class:`TraceFreeFamily` or a (p, n, n) array, and returns a float;
-    a (..., p, n, n) stack of families gives an array of slacks.
+    (p, n, n) array and returns a float; a (..., p, n, n) stack of
+    families gives an array of slacks.
     """
-    if isinstance(family, TraceFreeFamily):
-        family = family.stacked()
     tf = np.asarray(family, dtype=float)
     if tf.shape[-1] < 2:
         raise ValueError("family bound needs dimension >= 2")
@@ -448,10 +385,6 @@ def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, n) array: entries i.i.d. uniform on [-1, 1], then symmetrized."""
     m = rng.uniform(-1.0, 1.0, size=(n, n))
     return 0.5 * (m + m.T)
-
-
-def random_shape_family(n: int, p: int, rng: np.random.Generator) -> ShapeFamily:
-    return ShapeFamily(n, p, tuple(SymmetricMatrix(random_symmetric(n, rng)) for _ in range(p)))
 
 
 def random_trace_free_family(n: int, p: int, rng: np.random.Generator) -> np.ndarray:

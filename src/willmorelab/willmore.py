@@ -274,10 +274,10 @@ def _match_veronese(spec: IsoparametricSpec, tol: float) -> bool:
         return False
     if spec.mean_norm**2 > tol:
         return False
-    family, _ = traceless_part(spec.constant_shape)
-    a, b = family.matrices
-    norm_a = float(np.sum(a.data * a.data))
-    norm_b = float(np.sum(b.data * b.data))
+    tf, _ = traceless_part(spec.constant_shape)
+    a, b = tf
+    norm_a = float(np.sum(a * a))
+    norm_b = float(np.sum(b * b))
     scale = max(norm_a, norm_b)
     if scale <= tol or abs(norm_a - norm_b) > tol * (1.0 + scale):
         return False

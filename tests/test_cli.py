@@ -249,6 +249,15 @@ def test_out_file_always_gets_csv(tmp_path, capsys):
     assert text.splitlines()[0] == "resolution,value"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_path_is_one_error_line(tmp_path, capsys, fmt):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, ["catalog", "--format", fmt, "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert err.count("\n") == 1
+
+
 def test_conformal_test_structure(capsys):
     code, out, _ = run(
         capsys,
@@ -561,9 +570,13 @@ def test_json_output_builds_no_table(monkeypatch, capsys):
 
 
 def test_optimize_refuses_one_sample_in_both_formats(capsys):
-    for fmt in ("json", "csv"):
-        code, out, err = run(capsys, ["optimize", "1", "3", "--samples", "1", "--format", fmt])
-        assert (code, out, err) == (2, "", "error: need at least two samples\n")
+    # Counts above the cap are refused before anything is allocated.
+    refusals = {"1": "need at least two samples", "1000001": "at most 1000000 samples",
+                "1000000000000": "at most 1000000 samples"}
+    for samples, message in refusals.items():
+        for fmt in ("json", "csv"):
+            argv = ["optimize", "1", "3", "--samples", samples, "--format", fmt]
+            assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_gauss_legendre_count_above_the_cap_is_an_error_line(capsys):

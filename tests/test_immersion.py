@@ -59,12 +59,35 @@ def test_shape_data_matches_constant_curvature_oracle():
 def test_shape_data_frames_are_orthonormal():
     patch, _ = willmore_torus(1, 3)
     sd = shape_data(patch, patch.safe_center())
-    t = sd.tangent_frame.vectors
-    m = sd.normal_frame.vectors
+    t = sd.tangent_frame
+    m = sd.normal_frame
     assert np.allclose(t @ t.T, np.eye(3), atol=1e-12)
     assert np.allclose(m @ m.T, np.eye(1), atol=1e-12)
     assert np.abs(t @ sd.position).max() < 1e-12
     assert np.abs(m @ sd.position).max() < 1e-12
+
+
+def test_shape_data_validates_frames():
+    patch, _ = willmore_torus(1, 3)
+    sd = shape_data(patch, patch.safe_center())
+    for frame in (sd.tangent_frame, sd.normal_frame):
+        with pytest.raises(ValueError):
+            frame[0, 0] = 7.0
+    # Rows that stay orthogonal to the position but not to each other,
+    # or leave unit length, fail the frame check itself.
+    skew = sd.tangent_frame.copy()
+    skew[1] += 1e-6 * skew[0]
+    skew[1] /= np.linalg.norm(skew[1])
+    with pytest.raises(ValueError, match="tangent_frame rows are not orthonormal"):
+        replace(sd, tangent_frame=skew)
+    with pytest.raises(ValueError, match="normal_frame rows are not orthonormal"):
+        replace(sd, normal_frame=(1.0 + 1e-9) * sd.normal_frame)
+    # A valid frame is copied into read-only storage.
+    given = sd.tangent_frame.copy()
+    stored = replace(sd, tangent_frame=given).tangent_frame
+    assert np.array_equal(stored, given) and not stored.flags.writeable
+    given[0, 0] = 7.0
+    assert stored[0, 0] != 7.0
 
 
 def test_shape_json_dict_key_schema():
@@ -617,8 +640,8 @@ def test_shape_data_stays_exact_on_a_skewed_chart(delta):
     patch = _skewed_clifford_torus(delta)
     for u in np.random.default_rng(18).uniform(0.0, 2.0 * math.pi, size=(8, 2)):
         sd = shape_data(patch, u)
-        t = sd.tangent_frame.vectors
-        normal = sd.normal_frame.vectors
+        t = sd.tangent_frame
+        normal = sd.normal_frame
         # Tangent against position is left to ShapeData's own check: the
         # Gram-Schmidt frame inherits the jets' roundoff along x, scaled
         # by 1 / delta.

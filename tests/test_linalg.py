@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from willmorelab.linalg import (
-    OrthogonalFrame,
     SymmetricMatrix,
     commutator,
     frob_norm_sq,
@@ -50,13 +49,6 @@ def test_commutator_is_antisymmetric_on_random_pairs():
         b = SymmetricMatrix(rng.standard_normal((n, n)))
         c = commutator(a, b)
         assert np.allclose(c, -c.T, atol=1e-13)
-
-
-def test_orthogonal_frame_validates():
-    with pytest.raises(ValueError):
-        OrthogonalFrame(np.array([[1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        OrthogonalFrame(np.array([[0.6, 0.8], [0.8, 0.6]]))
 
 
 def test_jacobi_matches_numpy_eigh():

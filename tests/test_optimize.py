@@ -153,3 +153,5 @@ def test_family_profile_shape_and_consistency():
     assert abs(prof[mid, 2] - energy_derivative(fam, float(r))) < 1e-12
     with pytest.raises(ValueError):
         family_profile(fam, samples=1)
+    with pytest.raises(ValueError, match="at most"):
+        family_profile(fam, samples=10**12)

@@ -8,14 +8,12 @@ from willmorelab.tensors import (
     _HASH_BLOCK,
     ShapeFamily,
     SymTensor3,
-    TraceFreeFamily,
     _trial_states,
     canonical_pair,
     check_chern_inequality,
     check_li_inequality,
     equality_witness,
     f_tensor_decompose,
-    random_shape_family,
     random_symmetric,
     random_trace_free_family,
     traceless_part,
@@ -24,6 +22,10 @@ from willmorelab.tensors import (
 )
 
 TRIALS = 300
+
+
+def _random_shape_family(n, p, rng):
+    return ShapeFamily(n, p, tuple(SymmetricMatrix(random_symmetric(n, rng)) for _ in range(p)))
 
 
 def test_shape_family_mean_and_norms():
@@ -40,19 +42,16 @@ def test_traceless_part_invariants():
         rng = trial_rng(21, trial)
         n = int(rng.integers(2, 6))
         p = int(rng.integers(1, 4))
-        fam = random_shape_family(n, p, rng)
+        fam = _random_shape_family(n, p, rng)
         tf, sigma = traceless_part(fam)
-        for mat in tf.matrices:
-            assert abs(np.trace(mat.data)) < 1e-12 * (1 + np.abs(mat.data).max())
+        assert tf.shape == (p, n, n) and sigma.shape == (p, p)
+        for mat in tf:
+            assert np.array_equal(mat, mat.T)
+            assert abs(np.trace(mat)) < 1e-12 * (1 + np.abs(mat).max())
         expected = fam.total_norm_sq - n * fam.mean_norm**2
-        assert abs(sigma.rho_sq - expected) < 1e-10 * (1 + abs(expected))
-        lam = np.linalg.eigvalsh(sigma.matrix)
+        assert abs(np.trace(sigma) - expected) < 1e-10 * (1 + abs(expected))
+        lam = np.linalg.eigvalsh(sigma)
         assert lam.min() > -1e-10 * (1 + lam.max())
-
-
-def test_trace_free_family_rejects_traceful_input():
-    with pytest.raises(ValueError):
-        TraceFreeFamily(2, 1, (SymmetricMatrix(np.eye(2)),))
 
 
 def test_commutator_bound_on_random_pairs():
@@ -89,13 +88,11 @@ def test_family_bound_on_random_families():
 
 def test_family_bound_canonical_equality_and_unbalanced_gap():
     a, b = canonical_pair(3)
-    fam = TraceFreeFamily(3, 2, (a, b))
+    fam = np.stack([a.data, b.data])
     assert abs(check_li_inequality(fam)) < 1e-12
     # scaling the two members differently opens a gap of 2 (lam^2 - mu^2)^2
     for lam, mu in [(1.0, 0.5), (2.0, 1.0), (0.7, 1.3)]:
-        fam2 = TraceFreeFamily(
-            3, 2, (SymmetricMatrix(lam * a.data), SymmetricMatrix(mu * b.data))
-        )
+        fam2 = np.stack([lam * a.data, mu * b.data])
         gap = 2.0 * (lam**2 - mu**2) ** 2
         assert abs(check_li_inequality(fam2) - gap) < 1e-10 * (1 + gap)
 
@@ -112,15 +109,13 @@ def test_family_bound_invariant_under_orthogonal_mixing():
         q, r = np.linalg.qr(g)
         q = q * np.sign(np.diag(r))
         mixed = np.einsum("ab,bij->aij", q, stacked)
-        fam_mixed = TraceFreeFamily(n, p, tuple(SymmetricMatrix(m) for m in mixed))
-        assert abs(check_li_inequality(fam_mixed) - base) < 1e-9 * (1 + abs(base))
+        assert abs(check_li_inequality(mixed) - base) < 1e-9 * (1 + abs(base))
         # conjugate every member by one random tangent rotation
         gt = rng.standard_normal((n, n))
         qt, rt = np.linalg.qr(gt)
         qt = qt * np.sign(np.diag(rt))
         conj = np.einsum("ki,akl,lj->aij", qt, stacked, qt)
-        fam_conj = TraceFreeFamily(n, p, tuple(SymmetricMatrix(m) for m in conj))
-        assert abs(check_li_inequality(fam_conj) - base) < 1e-9 * (1 + abs(base))
+        assert abs(check_li_inequality(conj) - base) < 1e-9 * (1 + abs(base))
 
 
 def test_mean_gram_pairing_is_dominated():
@@ -129,10 +124,10 @@ def test_mean_gram_pairing_is_dominated():
         rng = trial_rng(45, trial)
         n = int(rng.integers(2, 6))
         p = int(rng.integers(1, 4))
-        fam = random_shape_family(n, p, rng)
+        fam = _random_shape_family(n, p, rng)
         _, sigma = traceless_part(fam)
-        lhs = float(fam.mean @ sigma.matrix @ fam.mean)
-        rhs = fam.mean_norm**2 * sigma.rho_sq
+        lhs = float(fam.mean @ sigma @ fam.mean)
+        rhs = fam.mean_norm**2 * np.trace(sigma)
         assert lhs <= rhs + 1e-12 * (1 + abs(rhs))
 
 
@@ -176,10 +171,7 @@ def test_stacked_kernels_match_per_trial_calls():
     assert np.array_equal(check_chern_inequality(a, b), pairs)
 
     fams = np.stack([random_trace_free_family(3, 2, rng) for _ in range(30)])
-    per_family = [
-        check_li_inequality(TraceFreeFamily(3, 2, tuple(SymmetricMatrix(m) for m in f)))
-        for f in fams
-    ]
+    per_family = [check_li_inequality(f) for f in fams]
     assert np.array_equal(check_li_inequality(fams), per_family)
 
     a0, b0 = canonical_pair(4)
