@@ -4,9 +4,11 @@ Every subcommand prints one JSON document to stdout (or a CSV table
 with --format csv) and exits 0 when all requested checks pass, 1 when a
 mathematical assertion fails (a residual that should vanish does not,
 an inequality is violated), and 2 on usage errors such as unknown
-example ids. Commands that produce tables (energy convergence, surface
-residual grids, optimizer profiles, property-suite summaries) also
-write them as CSV to --out when given. Each command hands :func:`_emit`
+example ids. When the reader of stdout goes away early (``| head``) the
+command ends quietly with exit code 141, as a shell reports a process
+that a broken pipe ends. Commands that produce tables (energy
+convergence, surface residual grids, optimizer profiles, property-suite
+summaries) also write them as CSV to --out when given. Each command hands :func:`_emit`
 its payload and a function that builds its table, and the table is
 built only for --format csv or --out: JSON output never pays for it.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,7 +34,7 @@ import numpy as np
 
 from .catalog import catalog_ids, resolve
 from .grids import QuadratureGrid
-from .immersion import PoleError, mobius_apply, random_mobius
+from .immersion import mobius_apply, random_mobius
 from .optimize import (
     TorusFamily,
     _check_samples,
@@ -53,6 +56,7 @@ from .tensors import (
     trial_rngs,
 )
 from .willmore import (
+    conformal_trials,
     el_residual_isoparametric,
     el_residual_surface,
     pinching_integral,
@@ -68,6 +72,9 @@ _WITNESS_TRIALS = 1000
 # Trials drawn before their groups are checked; bounds the memory of the
 # stacked draws at any trial count.
 _SUITE_CHUNK = 4096
+# Exit code when the reader of stdout goes away: 128 + SIGPIPE, what a
+# shell reports for a process that a broken pipe ends.
+_EXIT_BROKEN_PIPE = 141
 
 _DEFAULT_TOLERANCE = {
     "energy": 1e-6,
@@ -415,23 +422,17 @@ def _cmd_conformal_test(args: argparse.Namespace) -> int:
     patch = entry.patch
     grid = QuadratureGrid.for_patch(patch, config.resolution)
     base = willmore_energy(patch, grid)
-    reports = []
-    attempts = 0
-    trial = 0
-    while len(reports) < args.maps and attempts < 20 * args.maps:
-        attempts += 1
-        rng = trial_rng(config.seed, trial)
-        trial += 1
-        mob = random_mobius(patch.ambient_dim, rng)
-        try:
-            moved = mobius_apply(mob, patch)
-            value = willmore_energy(moved, grid)
-        except PoleError:
-            # The coarse clearance check can pass while a finer quadrature
-            # lattice still grazes the pole; either way, draw the next map.
-            continue
-        drift = abs(value - base) / base if base else abs(value - base)
-        reports.append({"trial": trial - 1, "value": value, "drift": drift})
+    # Drift relative to the base energy, absolute below 1: the energies of
+    # umbilic charts are roundoff, and relative to them so is everything.
+    scale = max(1.0, abs(base))
+    trials = conformal_trials(
+        patch, grid, args.maps, config.seed,
+        trial_rng=trial_rng, random_mobius=random_mobius, mobius_apply=mobius_apply,
+    )
+    reports = [
+        {"trial": trial, "value": value, "drift": abs(value - base) / scale}
+        for trial, value in trials
+    ]
     max_drift = max((r["drift"] for r in reports), default=0.0)
     payload = {
         "id": entry.example_id,
@@ -581,14 +582,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _drop_stdout() -> None:
+    """Point the stdout descriptor at devnull, when stdout has one.
+
+    After the reader of a pipe has gone, the interpreter's last flush of
+    stdout would fail again. A stdout without a descriptor (a StringIO,
+    as when ``main`` runs in-process) is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): nothing left to say.
+        _drop_stdout()
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

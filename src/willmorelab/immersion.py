@@ -29,24 +29,30 @@ frame, and h_ij as ambient normal vectors):
   frame use it: :func:`shape_data` (the ``shape`` command and the
   Veronese reference point) and the surface residual, whose signed mean
   curvature needs the oriented normal in codimension 1.
-* The frame-free kernel ``_integrand_chunks`` reduces h to rho^2 and
-  yields rho^2, sqrt g and R^{-1} one chunk at a time, gathering a
-  grid's nodes chunk by chunk. A chunk holds the largest power of two
-  of points whose second-derivative jet fits ``_CHUNK_BYTES`` (1 MiB),
-  within [``_CHUNK_MIN``, ``_CHUNK_MAX``] = [256, 2048], and the large
-  products of ``_second_form`` go to work buffers allocated once per
-  walk. The energy, pinching and grid integrals reduce each chunk into
-  one 8-byte density per node, so their memory follows the chunk, not
-  the jets of the grid; :func:`laplace_beltrami` and
-  :func:`grid_gradient_pairing` gather the chunks into whole per-node
-  fields (``_integrand_fields``).
+* The frame-free kernel ``_integrand_chunks`` reduces h to rho^2
+  (``_rho_sq_chunk``) and yields rho^2, sqrt g and R^{-1} one chunk at
+  a time, gathering a grid's nodes chunk by chunk. A chunk holds the
+  largest power of two of points whose second-derivative jet fits
+  ``_CHUNK_BYTES`` (1 MiB), within [``_CHUNK_MIN``, ``_CHUNK_MAX``] =
+  [256, 2048], and the large products of ``_second_form`` go to work
+  buffers allocated once per walk. The energy, pinching and grid
+  integrals reduce each chunk into one 8-byte density per node, so
+  their memory follows the chunk, not the jets of the grid;
+  :func:`laplace_beltrami` and :func:`grid_gradient_pairing` gather the
+  chunks into whole per-node fields (``_integrand_fields``).
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
 light cone, so on the sphere it is one linear fraction
 z = (A x + a) / (c . x + d), built once per map; the image jets follow
-from the source jets by the quotient rule, and conformal energies take
-the exact-jet path like any catalog chart.
+from the source jets by the quotient rule (``_mobius_jets``, one chunk
+of source jets through K maps at once), and conformal energies take the
+exact-jet path like any catalog chart. Many images of one chart are
+walked together (``_mobius_integrand_chunks``): per chunk the source
+jets are taken once, each map takes one product against them, and the
+kernel step ``_rho_sq_chunk`` (``_second_form``, the trace-free part,
+rho^2) runs once over the stacked (map, node) points, so every image
+gets the bits a walk of its own would give.
 
 Evaluators and jets must broadcast over leading axes: input (..., n),
 output (..., ambient_dim). All catalog charts and their conformal images
@@ -90,6 +96,9 @@ UNIT_TOL = 1e-10
 # Minimum spherical distance the patch image must keep from the
 # stereographic pole when a conformal map is applied.
 POLE_CLEARANCE = 0.1
+# Pointwise guard of conformal images: every node keeps spherical
+# distance POLE_CLEARANCE / 2 from the pole, 1 - p . R x >= _POLE_GUARD.
+_POLE_GUARD = 1.0 - np.cos(0.5 * POLE_CLEARANCE)
 # Largest deviation of a ShapeData frame's Gram matrix from the identity.
 FRAME_TOL = 1e-12
 # Chunks of the frame-free integrand kernel: the largest power of two of
@@ -542,18 +551,32 @@ def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBa
     )
 
 
+def _rho_sq_chunk(x, first, second, offset: int, work):
+    """rho^2, sqrt g and coef of one chunk of jets: the integrand kernel.
+
+    :func:`_second_form` into ``work``, then rho^2 = |h - (trace h / n) I|^2,
+    a sum of squares, never negative. The trace-free part is taken first:
+    no cancellation against n H^2 near umbilic points.
+    """
+    _, coef, sqrt_g, h = _second_form(x, first, second, offset, work)
+    c, _, nd = h.shape
+    n = first.shape[1]
+    h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(c, n, n, nd))[:, None] / n
+    return np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
+
+
 def _integrand_chunks(patch: ImmersionPatch, nodes):
     """Yield (start, stop, rho^2, sqrt g, coef) per chunk, without frames.
 
     ``coef`` is R^{-1} as :func:`_second_form` returns it, so
     g^{-1} = coef^T coef. Chunks hold :func:`_chunk_points` points, and
     one set of :func:`_work_buffers` serves every chunk, so memory
-    follows the chunk and not the number of points. rho^2 =
-    |h - (trace h / n) I|^2 is a sum of squares, never negative. No
-    normal frame or sign gauge is built; the guards are those of
-    :func:`shape_batch`, with the same exception types and point
-    indices. Patches without exact jets are differenced with step
-    ``FD_STEP``. The yielded arrays are the caller's.
+    follows the chunk and not the number of points. Each chunk goes
+    through :func:`_rho_sq_chunk`. No normal frame or sign gauge is
+    built; the guards are those of :func:`shape_batch`, with the same
+    exception types and point indices. Patches without exact jets are
+    differenced with step ``FD_STEP``. The yielded arrays are the
+    caller's.
 
     ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
     chunk at a time (the interior check runs on its 1-d nodes), or an
@@ -565,18 +588,12 @@ def _integrand_chunks(patch: ImmersionPatch, nodes):
     else:
         pts = _chart_points(patch, nodes, FD_STEP)
         m, take = len(pts), lambda start, stop: pts[start:stop]
-    n = patch.n
     size = _chunk_points(patch)
-    work = _work_buffers(min(size, m), n, patch.ambient_dim)
+    work = _work_buffers(min(size, m), patch.n, patch.ambient_dim)
     for start in range(0, m, size):
         stop = min(start + size, m)
         x, first, second = _jets(patch, take(start, stop), FD_STEP)
-        _, coef, sqrt_g, h = _second_form(x, first, second, start, work)
-        c, _, nd = h.shape
-        # Trace-free part first: no cancellation against n H^2 near
-        # umbilic points.
-        h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(c, n, n, nd))[:, None] / n
-        yield start, stop, np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
+        yield (start, stop) + _rho_sq_chunk(x, first, second, start, work)
 
 
 def _integrand_fields(patch: ImmersionPatch, nodes):
@@ -797,6 +814,98 @@ def _linear_fraction(mob: MobiusMap) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :nd] @ mob.rotation, rows[:, nd]
 
 
+def _mobius_jets(x: np.ndarray, first: np.ndarray, second: np.ndarray, fractions):
+    """Image jets of one chunk of source jets under K linear fractions.
+
+    ``x`` (m, N), ``first`` (m, n, N) and ``second`` (m, n, n, N) are the
+    source jets at m points, and ``fractions`` holds K (rows, offsets)
+    pairs of :func:`_linear_fraction`. Returns the pole alignments
+    p . R x (K, m) and the image jets with points last: z (K, N, m),
+    z_i (K, N, n, m) and z_ij (K, N, n, n, m), by the quotient rule of
+    :func:`mobius_apply`. The source rows (x, x_i, x_ij) are gathered
+    once, and each map takes one product against them. One product of
+    all maps' rows stacked together would round the last bit of z_ij
+    differently whenever m is not a multiple of 8; one per map keeps
+    the result equal to K single-map calls, bit for bit.
+    """
+    m, n, nd = first.shape
+    rows = 1 + n + n * n
+    source = np.concatenate([
+        x[None],
+        first.transpose(1, 0, 2),
+        second.reshape(m, n * n, nd).transpose(1, 0, 2),
+    ]).reshape(-1, nd).T
+    k = len(fractions)
+    w = np.empty((k, nd + 2, rows, m))
+    for wk, (lin, offset) in zip(w, fractions):
+        np.matmul(lin, source, out=wk.reshape(nd + 2, rows * m))
+        wk[:, 0] += offset[:, None]
+    s, ds, dds = w[:, nd, 0], w[:, nd, 1 : 1 + n], w[:, nd, 1 + n :].reshape(k, n, n, m)
+    inv_s = 1.0 / s
+    z = w[:, :nd, 0] * inv_s[:, None]
+    zi = (w[:, :nd, 1 : 1 + n] - ds[:, None] * z[:, :, None]) * inv_s[:, None, None]
+    zij = w[:, :nd, 1 + n :].reshape(k, nd, n, n, m)
+    zij -= zi[:, :, :, None] * ds[:, None, None] + zi[:, :, None] * ds[:, None, :, None]
+    zij -= dds[:, None] * z[:, :, None, None]
+    zij *= inv_s[:, None, None, None]
+    return w[:, nd + 1, 0], z, zi, zij
+
+
+def _mobius_integrand_chunks(patch: ImmersionPatch, grid: QuadratureGrid, maps):
+    """Yield (start, stop, live, rho^2, sqrt g) per chunk of the images of
+    ``patch`` under every map of ``maps``, walking the grid once.
+
+    The maps go in lockstep. Per chunk the source jets are taken once,
+    :func:`_mobius_jets` maps them through every live map, and
+    :func:`_rho_sq_chunk` runs once over the stacked (map, node) points.
+    ``live`` holds the indices of the maps still in the walk, and rho^2
+    and sqrt g one row per live map. A map whose image passes within
+    the pointwise pole guard of :func:`mobius_apply` at a node of the
+    chunk leaves the walk before the kernel sees its values, so it is
+    missing from ``live`` from that chunk on; the walk stops when no map
+    is left. A chunk holds ``_chunk_points(patch) // len(live)`` nodes,
+    so the stacked points fit one chunk of the single-image kernel and
+    its work buffers.
+
+    Each map's values equal those of ``_integrand_chunks`` on
+    ``mobius_apply(mob, patch)`` at the same nodes, bit for bit, and a
+    rank error names the node. The maps are not probed: the coarse pole
+    check of :func:`mobius_apply` is the caller's. Needs exact jets.
+    """
+    if patch.exact_jet is None:
+        raise ValueError("conformal images are walked together only on charts with exact jets")
+    n, nd = patch.n, patch.ambient_dim
+    _checked_domain(patch, grid.nodes_1d, FD_STEP)
+    fractions = [_linear_fraction(mob) for mob in maps]
+    live = np.arange(len(maps))
+    size = _chunk_points(patch)
+    m = grid.node_total
+    work = _work_buffers(min(size, len(maps) * m), n, nd)
+    start = 0
+    while live.size and start < m:
+        stop = min(start + size // live.size, m)
+        x, first, second = _jets(patch, grid.nodes(start, stop), FD_STEP)
+        align, z, zi, zij = _mobius_jets(x, first, second, [fractions[k] for k in live])
+        safe = ~(np.max(align, axis=1) > 1.0 - _POLE_GUARD)
+        if not safe.all():
+            live, z, zi, zij = live[safe], z[safe], zi[safe], zij[safe]
+            if not live.size:
+                return
+        k, c = live.size, stop - start
+        try:
+            rho_sq, sqrt_g, _ = _rho_sq_chunk(
+                z.transpose(0, 2, 1).reshape(k * c, nd),
+                zi.transpose(0, 3, 2, 1).reshape(k * c, n, nd),
+                zij.transpose(0, 4, 2, 3, 1).reshape(k * c, n, n, nd),
+                0,
+                work,
+            )
+        except RankError as exc:
+            raise RankError(start + exc.index % c, exc.smin) from None
+        yield start, stop, live, rho_sq.reshape(k, c), sqrt_g.reshape(k, c)
+        start = stop
+
+
 def mobius_apply(mob: MobiusMap, patch: ImmersionPatch) -> ImmersionPatch:
     """Compose a patch with a conformal map of the ambient sphere.
 
@@ -827,12 +936,12 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch) -> ImmersionPatch:
             "patch image passes too close to the stereographic pole "
             f"(min spherical distance {np.arccos(min(1.0, worst)):.4f} < {POLE_CLEARANCE})"
         )
-    guard = 1.0 - np.cos(0.5 * POLE_CLEARANCE)
     nd = patch.ambient_dim
-    lin, offset = _linear_fraction(mob)
+    fraction = _linear_fraction(mob)
+    lin, offset = fraction
 
     def check_pole(align: np.ndarray) -> None:
-        if np.max(align) > 1.0 - guard:
+        if np.max(align) > 1.0 - _POLE_GUARD:
             raise PoleError("patch image passes too close to the stereographic pole")
 
     base_eval = patch.evaluator
@@ -850,27 +959,14 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch) -> ImmersionPatch:
             x, first, second = (np.asarray(j, dtype=float) for j in base_jet(t))
             lead, n = x.shape[:-1], first.shape[-2]
             m = x.size // nd
-            # Rows (x, x_i, x_ij), one product, then points as the last axis.
-            stacked = np.concatenate([
-                x.reshape(1, m, nd),
-                first.reshape(m, n, nd).transpose(1, 0, 2),
-                second.reshape(m, n * n, nd).transpose(1, 0, 2),
-            ])
-            w = (lin @ stacked.reshape(-1, nd).T).reshape(nd + 2, 1 + n + n * n, m)
-            w[:, 0] += offset[:, None]
-            check_pole(w[nd + 1, 0])
-            s, ds, dds = w[nd, 0], w[nd, 1 : 1 + n], w[nd, 1 + n :].reshape(n, n, m)
-            inv_s = 1.0 / s
-            z = w[:nd, 0] * inv_s
-            zi = (w[:nd, 1 : 1 + n] - ds * z[:, None]) * inv_s
-            zij = w[:nd, 1 + n :].reshape(nd, n, n, m)
-            zij -= zi[:, :, None] * ds + zi[:, None] * ds[:, None]
-            zij -= dds * z[:, None, None]
-            zij *= inv_s
+            align, z, zi, zij = _mobius_jets(
+                x.reshape(m, nd), first.reshape(m, n, nd), second.reshape(m, n, n, nd), [fraction]
+            )
+            check_pole(align[0])
             return (
-                z.T.reshape(lead + (nd,)),
-                zi.transpose(2, 1, 0).reshape(lead + (n, nd)),
-                zij.transpose(3, 1, 2, 0).reshape(lead + (n, n, nd)),
+                z[0].T.reshape(lead + (nd,)),
+                zi[0].transpose(2, 1, 0).reshape(lead + (n, nd)),
+                zij[0].transpose(3, 1, 2, 0).reshape(lead + (n, n, nd)),
             )
 
     label = f"mobius({patch.name})" if patch.name else "mobius"

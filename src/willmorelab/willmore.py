@@ -25,15 +25,20 @@ from .catalog import IsoparametricSpec
 from .grids import QuadratureGrid
 from .immersion import (
     ImmersionPatch,
+    MobiusMap,
+    PoleError,
     RankError,
     _chunk_points,
     _grid_laplacian,
     _integrand_chunks,
+    _mobius_integrand_chunks,
     _require_periodic_grid,
     laplace_beltrami,  # re-exported: callers import it from this module
+    mobius_apply,
+    random_mobius,
     shape_batch,
 )
-from .tensors import equality_witness, traceless_part
+from .tensors import equality_witness, traceless_part, trial_rng
 
 __all__ = [
     "ELResidual",
@@ -45,6 +50,8 @@ __all__ = [
     "AT_THRESHOLD_UNRECOGNIZED",
     "OUTSIDE_PINCHING_RANGE",
     "willmore_energy",
+    "mobius_energies",
+    "conformal_trials",
     "grid_integral",
     "pinching_threshold",
     "pinching_integral",
@@ -54,6 +61,12 @@ __all__ = [
 ]
 
 _UMBILIC_GUARD = 1e-10
+# Density rows a group of conformal images holds at once, one 8-byte
+# density per node and map. A grid of more than _GROUP_BYTES / 16 nodes
+# takes one map per group and holds what willmore_energy holds.
+_GROUP_BYTES = 2**22
+# Maps drawn per requested conformal image before conformal_trials gives up.
+_DRAWS_PER_MAP = 20
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,84 @@ def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
     """
     power = patch.n / 2.0
     return _chunked_integral(patch, grid, lambda rho_sq, sqrt_g, _: rho_sq**power * sqrt_g)
+
+
+def mobius_energies(
+    patch: ImmersionPatch, grid: QuadratureGrid, maps: list[MobiusMap]
+) -> list[Optional[float]]:
+    """Bending energy of the image of ``patch`` under each conformal map.
+
+    Each entry equals ``willmore_energy(mobius_apply(mob, patch), grid)``
+    bit for bit, or is None where that raises :class:`PoleError` from the
+    pointwise pole guard at a grid node. The maps are not probed first;
+    the coarse clearance check of ``mobius_apply`` is the caller's. The
+    maps are walked in groups, each group in one pass over the grid
+    (``immersion._mobius_integrand_chunks``) that fills one density row
+    per map; each energy is the ``np.sum`` of its own row. A group holds
+    as many maps as keep its rows within ``_GROUP_BYTES``, at least one
+    and at most one chunk's worth, so memory is bounded by the budget,
+    not by the number of maps. Needs a patch with exact jets.
+    """
+    if not grid.matches_domain(patch.domain):
+        raise ValueError("grid does not cover the patch domain")
+    if any(mob.ambient_dim != patch.ambient_dim for mob in maps):
+        raise ValueError("ambient dimensions do not match")
+    power = patch.n / 2.0
+    total = grid.node_total
+    per_group = max(1, min(_chunk_points(patch), _GROUP_BYTES // (8 * total)))
+    energies: list[Optional[float]] = []
+    for first in range(0, len(maps), per_group):
+        group = maps[first : first + per_group]
+        density = np.empty((len(group), total))
+        done = ()
+        for start, stop, live, rho_sq, sqrt_g in _mobius_integrand_chunks(patch, grid, group):
+            density[live, start:stop] = rho_sq**power * sqrt_g * grid.weights(start, stop)
+            done = live if stop == total else ()
+        finished = {int(k): float(np.sum(density[k])) / patch.cover_multiplicity for k in done}
+        energies.extend(finished.get(k) for k in range(len(group)))
+    return energies
+
+
+def conformal_trials(
+    patch: ImmersionPatch,
+    grid: QuadratureGrid,
+    count: int,
+    seed: int,
+    *,
+    trial_rng=trial_rng,
+    random_mobius=random_mobius,
+    mobius_apply=mobius_apply,
+) -> list[tuple[int, float]]:
+    """(trial, energy) of the first ``count`` pole-safe conformal images.
+
+    Trial t draws ``random_mobius(ambient_dim, trial_rng(seed, t))``. A
+    map whose image ``mobius_apply`` rejects (its coarse pole check) is
+    skipped; the others are evaluated together by
+    :func:`mobius_energies`, and a map that grazes the pole at a grid
+    node is replaced by the next trials' draws. At most
+    ``_DRAWS_PER_MAP * count`` trials are drawn, so fewer pairs come back
+    when the chart keeps passing the pole. The pairs, in trial order,
+    are those of evaluating one trial after another. The three functions
+    are parameters so that a caller can pass its own bindings of them
+    (the CLI passes the names it imports, which ``perfbench`` wraps).
+    """
+    results: list[tuple[int, float]] = []
+    trial = 0
+    cap = _DRAWS_PER_MAP * count
+    while len(results) < count and trial < cap:
+        drawn = []
+        while len(results) + len(drawn) < count and trial < cap:
+            mob = random_mobius(patch.ambient_dim, trial_rng(seed, trial))
+            try:
+                mobius_apply(mob, patch)
+            except PoleError:
+                pass
+            else:
+                drawn.append((trial, mob))
+            trial += 1
+        energies = mobius_energies(patch, grid, [mob for _, mob in drawn])
+        results += [(t, e) for (t, _), e in zip(drawn, energies) if e is not None]
+    return results
 
 
 def grid_integral(patch: ImmersionPatch, grid: QuadratureGrid, values: np.ndarray) -> float:

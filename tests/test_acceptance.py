@@ -26,10 +26,7 @@ from willmorelab.catalog import (
 from willmorelab.cli import run_suite
 from willmorelab.grids import QuadratureGrid
 from willmorelab.immersion import (
-    PoleError,
     grid_gradient_pairing,
-    mobius_apply,
-    random_mobius,
     sample_safe_points,
     scalar_curvature,
     shape_batch,
@@ -52,6 +49,7 @@ from willmorelab.willmore import (
     VERONESE,
     WILLMORE_TORUS,
     classify_willmore,
+    conformal_trials,
     el_residual_isoparametric,
     el_residual_surface,
     grid_integral,
@@ -192,22 +190,10 @@ def test_bending_energy_oracles(report):
 def _max_conformal_drift(patch, resolution: int, maps: int, seed: int) -> float:
     grid = QuadratureGrid.for_patch(patch, resolution)
     base = willmore_energy(patch, grid)
-    drift = 0.0
-    applied = 0
-    trial = 0
-    while applied < maps and trial < 20 * maps:
-        rng = trial_rng(seed, trial)
-        trial += 1
-        try:
-            moved = mobius_apply(random_mobius(patch.ambient_dim, rng), patch)
-            value = willmore_energy(moved, grid)
-        except PoleError:
-            continue
-        drift = max(drift, abs(value - base) / base)
-        applied += 1
-    if applied < maps:
+    trials = conformal_trials(patch, grid, maps, seed)
+    if len(trials) < maps:
         raise RuntimeError("could not draw enough pole-safe maps")
-    return drift
+    return max(abs(value - base) / base for _, value in trials)
 
 
 def test_conformal_energy_invariance(report):

@@ -271,6 +271,36 @@ def test_conformal_test_structure(capsys):
     assert abs(payload["base"] - 4.0 * math.pi**2) < 1e-9
 
 
+def test_conformal_assert_passes_on_an_umbilic_chart(capsys):
+    # The energies of a great sphere are roundoff (about 1e-29), so their
+    # drift is measured against max(1, |base|), as `energy --assert` does.
+    code, out, err = run(
+        capsys,
+        ["conformal-test", "round-sphere:2,1,0.8", "--maps", "3", "--resolution", "32",
+         "--assert"],
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert abs(payload["base"]) < 1e-20 and len(payload["maps"]) == 3
+    for report in payload["maps"]:
+        assert report["drift"] == abs(report["value"] - payload["base"])
+    assert payload["max_drift"] < 1e-20
+
+
+def test_a_closed_stdout_pipe_ends_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["energy", "round-sphere:2,1,0.8", "--resolution", "32", "--assert"]
+    with subprocess.Popen(
+        [sys.executable, "-c", "import sys; from willmorelab.cli import main; sys.exit(main())"]
+        + argv,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before anything is printed
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
 def test_matrix_props_golden_values(capsys):
     # Pinned outputs of seed 0; the witness residual may only shrink.
     code, out, _ = run(capsys, ["matrix-props", "--trials", "1000", "--seed", "0"])

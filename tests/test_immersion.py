@@ -29,6 +29,8 @@ from willmorelab.immersion import (
     _fold_sign,
     _integrand_fields,
     _jets,
+    _linear_fraction,
+    _mobius_jets,
     _periodic_partial,
     grid_gradient_pairing,
     laplace_beltrami,
@@ -721,3 +723,15 @@ def test_energy_keeps_the_shape_guards():
     fd = replace(veronese(), exact_jet=None)
     with pytest.raises(ValueError, match="axis 0: .*one-step margin"):
         willmore_energy(fd, QuadratureGrid.for_patch(fd, 256))
+
+
+def test_mobius_jets_of_k_maps_equal_k_single_map_calls():
+    patch = veronese()
+    rng = np.random.default_rng(7)
+    x, first, second = patch.exact_jet(sample_safe_points(patch, rng, 409))
+    fractions = [_linear_fraction(random_mobius(5, rng)) for _ in range(5)]
+    together = _mobius_jets(x, first, second, fractions)
+    for k, fraction in enumerate(fractions):
+        alone = _mobius_jets(x, first, second, [fraction])
+        for stacked, single in zip(together, alone):
+            assert np.array_equal(stacked[k], single[0])

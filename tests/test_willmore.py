@@ -17,11 +17,14 @@ from willmorelab.catalog import (
     willmore_torus,
 )
 from willmorelab.grids import QuadratureGrid
+from willmorelab import willmore
 from willmorelab.immersion import (
     FD_STEP,
+    PoleError,
     RankError,
     _chunk_points,
     _jets,
+    _mobius_integrand_chunks,
     _tangent_gram_schmidt,
     mobius_apply,
     random_mobius,
@@ -37,7 +40,9 @@ from willmorelab.willmore import (
     classify_willmore,
     el_residual_isoparametric,
     el_residual_surface,
+    conformal_trials,
     grid_integral,
+    mobius_energies,
     pinching_integral,
     pinching_threshold,
     willmore_energy,
@@ -372,3 +377,145 @@ def test_chunked_quadratures_equal_the_whole_array_reduction_bit_for_bit(ident, 
     f = patch.evaluator(grid.points())[:, 0]
     got = grid_integral(patch, grid, f.reshape(grid.shape))
     assert got == _reference_integral(patch, grid, lambda r, s: f * s)
+
+
+def _probed(patch, seed, trials):
+    """The maps of these trials whose images pass the coarse pole check."""
+    maps = []
+    for trial in trials:
+        mob = random_mobius(patch.ambient_dim, trial_rng(seed, trial))
+        try:
+            mobius_apply(mob, patch)
+        except PoleError:
+            continue
+        maps.append(mob)
+    return maps
+
+
+def _one_walk(mob, patch, grid):
+    """The energy of one conformal image in a walk of its own, or None."""
+    try:
+        return willmore_energy(mobius_apply(mob, patch), grid)
+    except PoleError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "ident, res",
+    [
+        ("round-sphere:2,1,0.8", 48),  # roundoff energies show any per-node bit
+        ("clifford-torus:1,2", 48),
+        ("veronese", 40),
+        ("willmore-torus:1,3", 12),
+    ],
+)
+@pytest.mark.parametrize("count", [5, 11])  # 409 and 186 nodes per chunk
+def test_mobius_energies_equal_one_walk_per_map_bit_for_bit(ident, res, count):
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    maps = _probed(patch, 1, range(40))[:count]
+    assert len(maps) == count and (_chunk_points(patch) // count) % 8
+    assert grid.node_total > _chunk_points(patch) // count
+    assert mobius_energies(patch, grid, maps) == [_one_walk(m, patch, grid) for m in maps]
+
+
+def test_a_map_grazing_the_pole_partway_leaves_its_group():
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 48)
+    # Trial 45 passes the coarse pole check, but its image passes within
+    # the pointwise guard near node 1921 of 2304.
+    maps = _probed(patch, 0, [45, 0, 1, 2, 3])
+    assert len(maps) == 5
+    walk = list(_mobius_integrand_chunks(patch, grid, maps))
+    assert 0 in walk[0][2] and 0 not in walk[-1][2]
+    assert walk[-1][1] == grid.node_total
+    expected = [_one_walk(m, patch, grid) for m in maps]
+    assert expected[0] is None and None not in expected[1:]
+    assert mobius_energies(patch, grid, maps) == expected
+
+
+def test_mobius_groups_split_at_the_byte_budget(monkeypatch):
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 32)
+    maps = _probed(patch, 2, range(30))[:7]
+    monkeypatch.setattr(willmore, "_GROUP_BYTES", 3 * 8 * grid.node_total)
+    walked = []
+
+    def walk(patch, grid, group):
+        walked.append(len(group))
+        return _mobius_integrand_chunks(patch, grid, group)
+
+    monkeypatch.setattr(willmore, "_mobius_integrand_chunks", walk)
+    assert mobius_energies(patch, grid, maps) == [_one_walk(m, patch, grid) for m in maps]
+    assert walked == [3, 3, 1]
+
+
+def test_mobius_energy_memory_follows_the_budget_not_the_map_count(monkeypatch):
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 128)
+    row = 8 * grid.node_total
+    maps = _probed(patch, 3, range(40))[:12]
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            mobius_energies(patch, grid, maps[:count])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(willmore, "_GROUP_BYTES", 2 * row)
+    two, twelve = peak(2), peak(12)
+    assert twelve < two + row // 4
+    # Without the budget's bound twelve density rows are held at once.
+    monkeypatch.setattr(willmore, "_GROUP_BYTES", 12 * row)
+    assert peak(12) > two + 8 * row
+
+
+def test_a_rank_error_in_a_group_names_the_node():
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 64)
+    maps = _probed(patch, 4, range(20))[:3]
+    bad = _chunk_points(patch) // 3 + 5  # in the second chunk of the walk
+    theta = grid.points()[bad]
+
+    def degenerate(t):
+        x, first, second = patch.exact_jet(t)
+        first[np.all(t == theta, axis=-1)] = 0.0
+        return x, first, second
+
+    with pytest.raises(RankError, match=f"rank deficient at point index {bad} "):
+        mobius_energies(replace(patch, exact_jet=degenerate), grid, maps)
+
+
+def test_conformal_trials_replace_maps_that_fail_in_trial_order():
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 48)
+    # Trial 45 of seed 0 passes the coarse pole check and fails partway
+    # through the walk; the reference evaluates one trial after another.
+    expected = []
+    trial = 0
+    while len(expected) < 45:
+        mob = random_mobius(4, trial_rng(0, trial))
+        try:
+            expected.append((trial, willmore_energy(mobius_apply(mob, patch), grid)))
+        except PoleError:
+            pass
+        trial += 1
+    got = conformal_trials(patch, grid, 45, 0)
+    assert got == expected
+    assert 45 not in [t for t, _ in got] and got[-1][0] > 45
+    assert conformal_trials(patch, grid, 0, 0) == []
+
+
+def test_conformal_trials_stop_at_twenty_draws_per_map():
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 16)
+    drawn = []
+
+    def refuse(mob, patch):
+        drawn.append(mob)
+        raise PoleError("refused")
+
+    assert conformal_trials(patch, grid, 3, 0, mobius_apply=refuse) == []
+    assert len(drawn) == 60
