@@ -592,8 +592,9 @@ def _integrand_chunks(patch: ImmersionPatch, nodes):
     work = _work_buffers(min(size, m), patch.n, patch.ambient_dim)
     for start in range(0, m, size):
         stop = min(start + size, m)
-        x, first, second = _jets(patch, take(start, stop), FD_STEP)
-        yield (start, stop) + _rho_sq_chunk(x, first, second, start, work)
+        # The chunk's jets are freed before the caller's turn, so two
+        # chunks' jets are never held at once.
+        yield (start, stop) + _rho_sq_chunk(*_jets(patch, take(start, stop), FD_STEP), start, work)
 
 
 def _integrand_fields(patch: ImmersionPatch, nodes):
@@ -902,6 +903,7 @@ def _mobius_integrand_chunks(patch: ImmersionPatch, grid: QuadratureGrid, maps):
             )
         except RankError as exc:
             raise RankError(start + exc.index % c, exc.smin) from None
+        del x, first, second, z, zi, zij  # as in _integrand_chunks: one chunk's jets at a time
         yield start, stop, live, rho_sq.reshape(k, c), sqrt_g.reshape(k, c)
         start = stop
 
