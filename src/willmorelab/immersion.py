@@ -675,10 +675,20 @@ def _grid_laplacian(
         sg = sg * _fold_sign(patch, np.ix_(*grid.nodes_1d))
     spacings = [grid.spacing(a) for a in range(n)]
     partials = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
+    # Every flux before any divergence, so the partials are freed first,
+    # each flux summed in place in the order of sg * sum_b g^{ab} d_b f:
+    # the same bits with fewer node-sized fields held at once.
+    fluxes = []
+    for a in range(n):
+        flux = np.zeros_like(f)
+        for b in range(n):
+            flux += ginv[..., a, b] * partials[b]
+        flux *= sg
+        fluxes.append(flux)
+    del partials
     div = np.zeros_like(f)
     for a in range(n):
-        flux = sg * sum(ginv[..., a, b] * partials[b] for b in range(n))
-        div = div + _periodic_partial(flux, a, spacings[a])
+        div = div + _periodic_partial(fluxes[a], a, spacings[a])
     return div / sg
 
 
