@@ -9,7 +9,7 @@ command ends quietly with exit code 141, as a shell reports a process
 that a broken pipe ends. Commands that produce tables (energy
 convergence, surface residual grids, optimizer profiles, property-suite
 summaries) also write them as CSV to --out when given. Each command hands :func:`_emit`
-its payload and a function that builds its table, and the table is
+its payload and a function that yields its table's rows, and the table is
 built only for --format csv or --out: JSON output never pays for it.
 
 Randomized suites derive one child stream per trial from (seed, trial
@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -93,13 +95,11 @@ class UsageError(Exception):
 class RunConfig:
     """Validated knob set shared by the subcommands."""
 
-    command: str
     example_id: Optional[str]
     resolution: int
     seed: int
     trials: int
     tolerance: float
-    output_format: str
 
     def __post_init__(self) -> None:
         if self.resolution < 8:
@@ -110,8 +110,6 @@ class RunConfig:
             raise UsageError("seed must fit in 64 unsigned bits")
         if not 0.0 < self.tolerance < np.inf:
             raise UsageError("tolerance must be positive and finite")
-        if self.output_format not in ("json", "csv"):
-            raise UsageError("format must be json or csv")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -119,23 +117,21 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if tolerance is None:
         tolerance = _DEFAULT_TOLERANCE.get(args.command, 1e-8)
     return RunConfig(
-        command=args.command,
         example_id=getattr(args, "example_id", None),
         resolution=getattr(args, "resolution", 64),
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 1000),
         tolerance=float(tolerance),
-        output_format=args.format,
     )
 
 
-def _emit(args: argparse.Namespace, payload: dict, rows: Callable[[], list[list]]) -> None:
-    """Print the payload, or the CSV table that ``rows()`` builds.
+def _emit(args: argparse.Namespace, payload: dict, rows: Callable[[], Iterable[list]]) -> None:
+    """Print the payload, or the CSV table whose rows ``rows()`` yields.
 
     The table is built only to be printed (--format csv) or written
-    (--out). Both happen before anything is printed, so a failure while
-    building the table leaves stdout empty, and a path that cannot be
-    written is a usage error.
+    (--out), one row at a time into one text. Both happen before
+    anything is printed, so a failure while building the table leaves
+    stdout empty, and a path that cannot be written is a usage error.
     """
     out = getattr(args, "out", None)
     text = _csv_text(rows()) if args.format == "csv" or out else None
@@ -151,11 +147,11 @@ def _emit(args: argparse.Namespace, payload: dict, rows: Callable[[], list[list]
         print(text, end="")
 
 
-def _csv_text(rows: list[list]) -> str:
-    lines = []
+def _csv_text(rows: Iterable[list]) -> str:
+    text = io.StringIO()
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        text.write(",".join(_cell(v) for v in row) + "\n")
+    return text.getvalue()
 
 
 def _cell(value) -> str:
@@ -172,7 +168,7 @@ def _fail(message: str) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     ids = catalog_ids()
     payload = {"command": "catalog", "ids": ids}
-    _emit(args, payload, lambda: [["id"]] + [[i] for i in ids])
+    _emit(args, payload, lambda: chain([["id"]], ([i] for i in ids)))
     return 0
 
 
@@ -201,12 +197,11 @@ def _cmd_shape(args: argparse.Namespace) -> int:
     payload.update(sd.to_json_dict())
 
     def rows():
-        table = [["key", "value"], ["n", sd.n], ["p", sd.p], ["H", sd.mean_norm],
-                 ["S", sd.S], ["rho_sq", sd.rho_sq]]
+        yield from [["key", "value"], ["n", sd.n], ["p", sd.p], ["H", sd.mean_norm],
+                    ["S", sd.S], ["rho_sq", sd.rho_sq]]
         for a, mat in enumerate(sd.second_fundamental.matrices):
             for (i, j), v in np.ndenumerate(mat.data):
-                table.append([f"h[{a}][{i}][{j}]", float(v)])
-        return table
+                yield [f"h[{a}][{i}][{j}]", float(v)]
 
     _emit(args, payload, rows)
     return 0
@@ -237,7 +232,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         "mode": "energy",
         "convergence": [{"resolution": r, "value": v} for r, v in table],
     }
-    _emit(args, payload, lambda: [["resolution", "value"]] + [[r, v] for r, v in table])
+    _emit(args, payload, lambda: chain([["resolution", "value"]], table))
     if args.check:
         drift = abs(table[-1][1] - table[-2][1])
         scale = max(1.0, abs(value))
@@ -263,9 +258,9 @@ def _cmd_el_check(args: argparse.Namespace) -> int:
             "max_residual": res.max_norm,
             "willmore": bool(flat_ok),
         }
-        _emit(args, payload, lambda: [["i", "j", "residual"]] + [
+        _emit(args, payload, lambda: chain([["i", "j", "residual"]], (
             [i, j, float(v)] for (i, j), v in np.ndenumerate(res.values)
-        ])
+        )))
         if args.check and not flat_ok:
             return _fail(
                 f"surface residual {res.max_norm:.3e} exceeds {config.tolerance:.1e}"
@@ -281,9 +276,9 @@ def _cmd_el_check(args: argparse.Namespace) -> int:
         "scale": residual.scale,
         "willmore": bool(is_willmore),
     }
-    _emit(args, payload, lambda: [["alpha", "residual"]] + [
+    _emit(args, payload, lambda: chain([["alpha", "residual"]], (
         [a, float(v)] for a, v in enumerate(residual.values)
-    ] + [["norm", residual.norm]])
+    ), [["norm", residual.norm]]))
     if args.check and not is_willmore:
         return _fail(f"residual norm {residual.norm:.3e} exceeds {config.tolerance:.1e}")
     return 0
@@ -400,11 +395,10 @@ def _cmd_matrix_props(args: argparse.Namespace) -> int:
     }
 
     def rows():
-        table = [["suite", "trials", "worst", "violations"]]
+        yield ["suite", "trials", "worst", "violations"]
         for s in suites:
             worst = s.get("min_slack", s.get("max_residual"))
-            table.append([s["name"], s["trials"], float(worst), s["violations"]])
-        return table
+            yield [s["name"], s["trials"], float(worst), s["violations"]]
 
     _emit(args, payload, rows)
     if total_violations:
@@ -442,9 +436,9 @@ def _cmd_conformal_test(args: argparse.Namespace) -> int:
         "max_drift": max_drift,
         "mode": "conformal",
     }
-    _emit(args, payload, lambda: [["map", "energy", "drift"], ["base", base, 0.0]] + [
+    _emit(args, payload, lambda: chain([["map", "energy", "drift"], ["base", base, 0.0]], (
         [r["trial"], r["value"], r["drift"]] for r in reports
-    ])
+    )))
     if len(reports) < args.maps:
         print("error: could not draw enough pole-safe maps", file=sys.stderr)
         return 2
@@ -470,9 +464,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     }
     # family_profile checks this too, but JSON output never calls it.
     _check_samples(args.samples)
-    _emit(args, payload, lambda: [["r", "energy", "derivative"]] + [
+    _emit(args, payload, lambda: chain([["r", "energy", "derivative"]], (
         [float(r), float(w), float(dw)] for r, w, dw in family_profile(fam, samples=args.samples)
-    ])
+    )))
     if args.check and abs(radius - balanced) > config.tolerance:
         return _fail(
             f"critical radius {radius!r} differs from the balanced radius "

@@ -29,17 +29,19 @@ frame, and h_ij as ambient normal vectors):
   frame use it: :func:`shape_data` (the ``shape`` command and the
   Veronese reference point) and the surface residual, whose signed mean
   curvature needs the oriented normal in codimension 1.
-* The frame-free kernel ``_integrand_chunks`` reduces h to rho^2
-  (``_rho_sq_chunk``) and yields rho^2, sqrt g and R^{-1} one chunk at
-  a time, gathering a grid's nodes chunk by chunk. A chunk holds the
-  largest power of two of points whose second-derivative jet fits
+* ``_integrand_chunks`` is the one grid walk of the frame-free kernel
+  ``_rho_sq_chunk`` (h reduced to rho^2). It yields rho^2, sqrt g and
+  R^{-1} one chunk at a time, for the patch or for many conformal
+  images of it, gathering a grid's nodes chunk by chunk. A chunk holds
+  the largest power of two of points whose second-derivative jet fits
   ``_CHUNK_BYTES`` (1 MiB), within [``_CHUNK_MIN``, ``_CHUNK_MAX``] =
   [256, 2048], and the large products of ``_second_form`` go to work
-  buffers allocated once per walk. The energy, pinching and grid
-  integrals reduce each chunk into one 8-byte density per node, so
-  their memory follows the chunk, not the jets of the grid;
-  :func:`laplace_beltrami` and :func:`grid_gradient_pairing` gather the
-  chunks into whole per-node fields (``_integrand_fields``).
+  buffers allocated once per walk, or over the spent second jet. The
+  energy, pinching, grid and conformal integrals reduce each chunk
+  into one 8-byte density per node and image, so their memory follows
+  the chunk, not the jets of the grid; :func:`laplace_beltrami` and
+  :func:`grid_gradient_pairing` gather the chunks into whole per-node
+  fields (``_integrand_fields``).
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -47,12 +49,11 @@ light cone, so on the sphere it is one linear fraction
 z = (A x + a) / (c . x + d), built once per map; the image jets follow
 from the source jets by the quotient rule (``_mobius_jets``, one chunk
 of source jets through K maps at once), and conformal energies take the
-exact-jet path like any catalog chart. Many images of one chart are
-walked together (``_mobius_integrand_chunks``): per chunk the source
-jets are taken once, each map takes one product against them, and the
-kernel step ``_rho_sq_chunk`` (``_second_form``, the trace-free part,
-rho^2) runs once over the stacked (map, node) points, so every image
-gets the bits a walk of its own would give.
+exact-jet path like any catalog chart. Given K fractions,
+``_integrand_chunks`` walks the K images together: per chunk the source
+jets are taken once, each map takes one product against them, and
+``_rho_sq_chunk`` runs once over the stacked (map, node) points, so
+every image gets the bits a walk of its own would give.
 
 Evaluators and jets must broadcast over leading axes: input (..., n),
 output (..., ambient_dim). All catalog charts and their conformal images
@@ -414,12 +415,12 @@ def _tangent_gram_schmidt(first: np.ndarray):
     return tangent, r_inv, sqrt_g
 
 
-def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
+def _check_rank(first: np.ndarray, r_inv: np.ndarray) -> None:
     """Raise where the chart differential of a chunk falls below RANK_TOL.
 
     sigma_min(R) >= 1 / |R^{-1}|_F clears most nodes; the rest (NaN
-    included) get an exact SVD of the Jacobian. ``offset`` turns chunk
-    indices into point indices.
+    included) get an exact SVD of the Jacobian. The error names the
+    index in the chunk.
     """
     bound = 1.0 / np.sqrt(np.einsum("ijc,ijc->c", r_inv, r_inv))
     unclear = np.flatnonzero(~(bound >= RANK_TOL))
@@ -431,7 +432,7 @@ def _check_rank(first: np.ndarray, r_inv: np.ndarray, offset: int) -> None:
     smin[finite] = np.linalg.svd(jac[finite], compute_uv=False)[:, -1]
     bad = np.flatnonzero(~(smin >= RANK_TOL))
     if bad.size:
-        raise RankError(offset + int(unclear[bad[0]]), smin[bad[0]])
+        raise RankError(int(unclear[bad[0]]), smin[bad[0]])
 
 
 def _jets(patch: ImmersionPatch, pts: np.ndarray, step: float):
@@ -454,38 +455,38 @@ def _work_buffers(c: int, n: int, nd: int) -> tuple[np.ndarray, ...]:
         np.empty((c, nd, n + 1)),  # tangent frame plus position, as columns
         np.empty((c, n + 1, nd)),  # the same, as rows
         np.empty((c, n, n * nd)),  # R^{-T} x_kl, then the frame part of h
-        np.empty((c, n * n, nd)),  # h
         np.empty((c, n * n, n + 1)),  # h against the frame
     )
 
 
-def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, offset: int, work=None):
+def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, work=None):
     """Unit-sphere and rank guards, Gram-Schmidt and h on a chunk of jets.
 
     Returns the tangent frame (n, N, c), ``coef`` (c, n, n) with row a
     holding column a of R^{-1}, sqrt g and h (c, n * n, N), whose row
     a n + b is the normal part of sum_kl R^{-1}_ka R^{-1}_lb x_kl: the
     second fundamental form in the tangent frame as ambient vectors.
-    ``offset`` shifts rank-error indices. ``work`` holds
-    :func:`_work_buffers` for at least c points, which the products are
-    written into, so a walk over many chunks reuses one set; h is then
-    a view of it, valid until the next call. Without ``work`` the
-    buffers are allocated here.
+    A rank error names the index in the chunk. h is written over
+    ``second``, which is spent once R^{-T} x_kl is taken. ``work`` holds
+    :func:`_work_buffers` for at least c points, which the other
+    products are written into, so a walk over many chunks reuses one
+    set. Without ``work`` the buffers are allocated here.
     """
     unit_err = np.max(np.abs(np.einsum("mj,mj->m", x, x) - 1.0))
     if not unit_err <= UNIT_TOL:
         raise ValueError(f"patch image leaves the unit sphere by {unit_err:.3e}")
     with np.errstate(divide="ignore", invalid="ignore"):
         tangent, r_inv, sqrt_g = _tangent_gram_schmidt(first)
-    _check_rank(first, r_inv, offset)
+    _check_rank(first, r_inv)
     # Points first from here: the contractions are batched matmuls
     # over tiny matrices, fastest on contiguous operands.
     c, n, nd = first.shape
     if work is None:
         work = _work_buffers(c, n, nd)
-    cols, rows, half, h, along = (buf[:c] for buf in work)
+    cols, rows, half, along = (buf[:c] for buf in work)
     coef = np.ascontiguousarray(r_inv.transpose(2, 1, 0))
     np.matmul(coef, second.reshape(c, n, n * nd), out=half)
+    h = second.reshape(c, n * n, nd)
     np.matmul(coef[:, None], half.reshape(c, n, n, nd), out=h.reshape(c, n, n, nd))
     cols[:, :, :n] = tangent.transpose(2, 1, 0)
     cols[:, :, n] = x
@@ -506,7 +507,7 @@ def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBa
         )
     pts = _chart_points(patch, points, step)
     x, first, second = _jets(patch, pts, step)
-    tangent, _, sqrt_g, h = _second_form(x, first, second, 0)
+    tangent, _, sqrt_g, h = _second_form(x, first, second)
     n = patch.n
     # One Gram-Schmidt pass is orthonormal only up to the conditioning of
     # the chart; a second pass is enough, and its R^{-1} moves h along.
@@ -551,50 +552,80 @@ def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBa
     )
 
 
-def _rho_sq_chunk(x, first, second, offset: int, work):
+def _rho_sq_chunk(x, first, second, work):
     """rho^2, sqrt g and coef of one chunk of jets: the integrand kernel.
 
     :func:`_second_form` into ``work``, then rho^2 = |h - (trace h / n) I|^2,
     a sum of squares, never negative. The trace-free part is taken first:
     no cancellation against n H^2 near umbilic points.
     """
-    _, coef, sqrt_g, h = _second_form(x, first, second, offset, work)
+    _, coef, sqrt_g, h = _second_form(x, first, second, work)
     c, _, nd = h.shape
     n = first.shape[1]
     h[:, :: n + 1] -= np.einsum("ciiN->cN", h.reshape(c, n, n, nd))[:, None] / n
     return np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
 
 
-def _integrand_chunks(patch: ImmersionPatch, nodes):
-    """Yield (start, stop, rho^2, sqrt g, coef) per chunk, without frames.
+def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
+    """Yield (start, stop, live, rho^2, sqrt g, coef) per chunk, without frames.
 
-    ``coef`` is R^{-1} as :func:`_second_form` returns it, so
-    g^{-1} = coef^T coef. Chunks hold :func:`_chunk_points` points, and
-    one set of :func:`_work_buffers` serves every chunk, so memory
-    follows the chunk and not the number of points. Each chunk goes
-    through :func:`_rho_sq_chunk`. No normal frame or sign gauge is
-    built; the guards are those of :func:`shape_batch`, with the same
-    exception types and point indices. Patches without exact jets are
-    differenced with step ``FD_STEP``. The yielded arrays are the
-    caller's.
+    The one grid walk of the kernel :func:`_rho_sq_chunk`. Without
+    ``fractions`` it walks ``patch``, and ``live`` is [0]. With K linear
+    fractions (:func:`_linear_fraction`) it walks the K images in
+    lockstep: per chunk the source jets are taken once and
+    :func:`_mobius_jets` maps them through every live fraction. ``live``
+    holds the fractions still in the walk; one whose image passes the
+    pointwise pole guard of :func:`mobius_apply` at a node leaves before
+    the kernel sees its values, and the walk stops when none is left.
+    The coarse pole check is the caller's. Images need exact jets.
+
+    rho^2 and sqrt g hold one row per live image, bit for bit those of
+    a walk of its own, and ``coef`` is R^{-1} of :func:`_second_form`
+    over the stacked (image, node) points, so g^{-1} = coef^T coef. A
+    chunk holds ``_chunk_points(patch) // len(live)`` nodes and one set
+    of :func:`_work_buffers` serves every chunk, so memory follows the
+    chunk. No normal frame or sign gauge is built; the guards are those
+    of :func:`shape_batch`, and a rank error names the node. Patches
+    without exact jets are differenced with step ``FD_STEP``. The
+    yielded arrays are the caller's.
 
     ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
     chunk at a time (the interior check runs on its 1-d nodes), or an
     (M, n) array of chart points, sliced the same way.
     """
+    if fractions is not None and patch.exact_jet is None:
+        raise ValueError("conformal images are walked together only on charts with exact jets")
     if isinstance(nodes, QuadratureGrid):
         _checked_domain(patch, nodes.nodes_1d, FD_STEP)
         m, take = nodes.node_total, nodes.nodes
     else:
         pts = _chart_points(patch, nodes, FD_STEP)
         m, take = len(pts), lambda start, stop: pts[start:stop]
+    live = np.arange(1 if fractions is None else len(fractions))
     size = _chunk_points(patch)
-    work = _work_buffers(min(size, m), patch.n, patch.ambient_dim)
-    for start in range(0, m, size):
-        stop = min(start + size, m)
+    work = _work_buffers(min(size, live.size * m), patch.n, patch.ambient_dim)
+    start = 0
+    while live.size and start < m:
+        stop = min(start + size // live.size, m)
+        c = stop - start
+        jets = _jets(patch, take(start, stop), FD_STEP)
+        if fractions is not None:
+            align, *jets = _mobius_jets(*jets, [fractions[k] for k in live])
+            safe = ~(np.max(align, axis=1) > 1.0 - _POLE_GUARD)
+            if not safe.all():
+                live, jets = live[safe], [j[safe] for j in jets]
+                if not live.size:
+                    return
+            jets = [j.reshape((-1,) + j.shape[2:]) for j in jets]
+        try:
+            rho_sq, sqrt_g, coef = _rho_sq_chunk(*jets, work)
+        except RankError as exc:
+            raise RankError(start + exc.index % c, exc.smin) from None
         # The chunk's jets are freed before the caller's turn, so two
         # chunks' jets are never held at once.
-        yield (start, stop) + _rho_sq_chunk(*_jets(patch, take(start, stop), FD_STEP), start, work)
+        del jets
+        yield start, stop, live, rho_sq.reshape(-1, c), sqrt_g.reshape(-1, c), coef
+        start = stop
 
 
 def _integrand_fields(patch: ImmersionPatch, nodes):
@@ -605,9 +636,9 @@ def _integrand_fields(patch: ImmersionPatch, nodes):
     pair and one n x n matrix per point.
     """
     rho_sq, sqrt_g, ginv = [], [], []
-    for _, _, r, s, coef in _integrand_chunks(patch, nodes):
-        rho_sq.append(r)
-        sqrt_g.append(s)
+    for _, _, _, r, s, coef in _integrand_chunks(patch, nodes):
+        rho_sq.append(r[0])
+        sqrt_g.append(s[0])
         ginv.append(coef.transpose(0, 2, 1) @ coef)
     return np.concatenate(rho_sq), np.concatenate(sqrt_g), np.concatenate(ginv)
 
@@ -831,13 +862,16 @@ def _mobius_jets(x: np.ndarray, first: np.ndarray, second: np.ndarray, fractions
     ``x`` (m, N), ``first`` (m, n, N) and ``second`` (m, n, n, N) are the
     source jets at m points, and ``fractions`` holds K (rows, offsets)
     pairs of :func:`_linear_fraction`. Returns the pole alignments
-    p . R x (K, m) and the image jets with points last: z (K, N, m),
-    z_i (K, N, n, m) and z_ij (K, N, n, n, m), by the quotient rule of
-    :func:`mobius_apply`. The source rows (x, x_i, x_ij) are gathered
-    once, and each map takes one product against them. One product of
-    all maps' rows stacked together would round the last bit of z_ij
-    differently whenever m is not a multiple of 8; one per map keeps
-    the result equal to K single-map calls, bit for bit.
+    p . R x (K, m) and the image jets points first, stacked as
+    :func:`_rho_sq_chunk` takes them: z (K, m, N), z_i (K, m, n, N) and
+    z_ij (K, m, n, n, N), by the quotient rule of :func:`mobius_apply`.
+    The source rows (x, x_i, x_ij) are gathered once, and each map takes
+    one product against them. One product of all maps' rows stacked
+    together would round the last bit of z_ij differently whenever m is
+    not a multiple of 8; one per map keeps the result equal to K
+    single-map calls, bit for bit. The quotient rule runs points last,
+    where each update is a contiguous row, and the jets are copied to
+    points first at the end.
     """
     m, n, nd = first.shape
     rows = 1 + n + n * n
@@ -859,63 +893,12 @@ def _mobius_jets(x: np.ndarray, first: np.ndarray, second: np.ndarray, fractions
     zij -= zi[:, :, :, None] * ds[:, None, None] + zi[:, :, None] * ds[:, None, :, None]
     zij -= dds[:, None] * z[:, :, None, None]
     zij *= inv_s[:, None, None, None]
-    return w[:, nd + 1, 0], z, zi, zij
-
-
-def _mobius_integrand_chunks(patch: ImmersionPatch, grid: QuadratureGrid, maps):
-    """Yield (start, stop, live, rho^2, sqrt g) per chunk of the images of
-    ``patch`` under every map of ``maps``, walking the grid once.
-
-    The maps go in lockstep. Per chunk the source jets are taken once,
-    :func:`_mobius_jets` maps them through every live map, and
-    :func:`_rho_sq_chunk` runs once over the stacked (map, node) points.
-    ``live`` holds the indices of the maps still in the walk, and rho^2
-    and sqrt g one row per live map. A map whose image passes within
-    the pointwise pole guard of :func:`mobius_apply` at a node of the
-    chunk leaves the walk before the kernel sees its values, so it is
-    missing from ``live`` from that chunk on; the walk stops when no map
-    is left. A chunk holds ``_chunk_points(patch) // len(live)`` nodes,
-    so the stacked points fit one chunk of the single-image kernel and
-    its work buffers.
-
-    Each map's values equal those of ``_integrand_chunks`` on
-    ``mobius_apply(mob, patch)`` at the same nodes, bit for bit, and a
-    rank error names the node. The maps are not probed: the coarse pole
-    check of :func:`mobius_apply` is the caller's. Needs exact jets.
-    """
-    if patch.exact_jet is None:
-        raise ValueError("conformal images are walked together only on charts with exact jets")
-    n, nd = patch.n, patch.ambient_dim
-    _checked_domain(patch, grid.nodes_1d, FD_STEP)
-    fractions = [_linear_fraction(mob) for mob in maps]
-    live = np.arange(len(maps))
-    size = _chunk_points(patch)
-    m = grid.node_total
-    work = _work_buffers(min(size, len(maps) * m), n, nd)
-    start = 0
-    while live.size and start < m:
-        stop = min(start + size // live.size, m)
-        x, first, second = _jets(patch, grid.nodes(start, stop), FD_STEP)
-        align, z, zi, zij = _mobius_jets(x, first, second, [fractions[k] for k in live])
-        safe = ~(np.max(align, axis=1) > 1.0 - _POLE_GUARD)
-        if not safe.all():
-            live, z, zi, zij = live[safe], z[safe], zi[safe], zij[safe]
-            if not live.size:
-                return
-        k, c = live.size, stop - start
-        try:
-            rho_sq, sqrt_g, _ = _rho_sq_chunk(
-                z.transpose(0, 2, 1).reshape(k * c, nd),
-                zi.transpose(0, 3, 2, 1).reshape(k * c, n, nd),
-                zij.transpose(0, 4, 2, 3, 1).reshape(k * c, n, n, nd),
-                0,
-                work,
-            )
-        except RankError as exc:
-            raise RankError(start + exc.index % c, exc.smin) from None
-        del x, first, second, z, zi, zij  # as in _integrand_chunks: one chunk's jets at a time
-        yield start, stop, live, rho_sq.reshape(k, c), sqrt_g.reshape(k, c)
-        start = stop
+    return (
+        w[:, nd + 1, 0],
+        np.ascontiguousarray(z.transpose(0, 2, 1)),
+        np.ascontiguousarray(zi.transpose(0, 3, 2, 1)),
+        np.ascontiguousarray(zij.transpose(0, 4, 2, 3, 1)),
+    )
 
 
 def mobius_apply(mob: MobiusMap, patch: ImmersionPatch) -> ImmersionPatch:
@@ -976,9 +959,9 @@ def mobius_apply(mob: MobiusMap, patch: ImmersionPatch) -> ImmersionPatch:
             )
             check_pole(align[0])
             return (
-                z[0].T.reshape(lead + (nd,)),
-                zi[0].transpose(2, 1, 0).reshape(lead + (n, nd)),
-                zij[0].transpose(3, 1, 2, 0).reshape(lead + (n, n, nd)),
+                z[0].reshape(lead + (nd,)),
+                zi[0].reshape(lead + (n, nd)),
+                zij[0].reshape(lead + (n, n, nd)),
             )
 
     label = f"mobius({patch.name})" if patch.name else "mobius"

@@ -31,7 +31,7 @@ from .immersion import (
     _chunk_points,
     _grid_laplacian,
     _integrand_chunks,
-    _mobius_integrand_chunks,
+    _linear_fraction,
     _require_periodic_grid,
     laplace_beltrami,  # re-exported: callers import it from this module
     mobius_apply,
@@ -102,22 +102,32 @@ class SurfaceResidual:
     max_norm: float
 
 
-def _chunked_integral(patch: ImmersionPatch, grid: QuadratureGrid, integrand) -> float:
-    """Quadrature of ``integrand(rho_sq, sqrt_g, chunk)`` = f sqrt g.
+def _chunked_integral(
+    patch: ImmersionPatch, grid: QuadratureGrid, integrand, fractions=None
+) -> list[Optional[float]]:
+    """Quadrature of ``integrand(rho_sq, sqrt_g, chunk)`` = f sqrt g, per image.
 
-    The kernel's fields arrive one chunk at a time, ``chunk`` being the
-    slice of flat node indices they belong to; f sqrt g times the
-    chunk's weights fills that slice of one node-sized density. One
-    ``np.sum`` over it gives the summation order, and so every bit, of a
-    whole-array reduction, at 8 bytes per node.
+    One value for the patch itself, or one per linear fraction of
+    ``fractions``, walked together (``immersion._integrand_chunks``);
+    None for an image that left the walk at the pole guard. The kernel's
+    fields arrive one chunk at a time, one row per live image, ``chunk``
+    being the slice of flat node indices they belong to; f sqrt g times
+    the chunk's weights fills that slice of the image's row of one
+    node-sized density per image. One ``np.sum`` over a row gives the
+    summation order, and so every bit, of a whole-array reduction, at 8
+    bytes per node and image.
     """
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
-    density = np.empty(grid.node_total)
-    for start, stop, rho_sq, sqrt_g, _ in _integrand_chunks(patch, grid):
+    total = grid.node_total
+    density = np.empty((1 if fractions is None else len(fractions), total))
+    done = ()
+    for start, stop, live, rho_sq, sqrt_g, _ in _integrand_chunks(patch, grid, fractions):
         values = integrand(rho_sq, sqrt_g, slice(start, stop))
-        np.multiply(values, grid.weights(start, stop), out=density[start:stop])
-    return float(np.sum(density)) / patch.cover_multiplicity
+        density[live, start:stop] = values * grid.weights(start, stop)
+        done = live if stop == total else ()
+    finished = {int(k): float(np.sum(density[k])) / patch.cover_multiplicity for k in done}
+    return [finished.get(k) for k in range(len(density))]
 
 
 def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
@@ -128,7 +138,7 @@ def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
     the energy of the underlying submanifold.
     """
     power = patch.n / 2.0
-    return _chunked_integral(patch, grid, lambda rho_sq, sqrt_g, _: rho_sq**power * sqrt_g)
+    return _chunked_integral(patch, grid, lambda rho_sq, sqrt_g, _: rho_sq**power * sqrt_g)[0]
 
 
 def mobius_energies(
@@ -140,30 +150,25 @@ def mobius_energies(
     bit for bit, or is None where that raises :class:`PoleError` from the
     pointwise pole guard at a grid node. The maps are not probed first;
     the coarse clearance check of ``mobius_apply`` is the caller's. The
-    maps are walked in groups, each group in one pass over the grid
-    (``immersion._mobius_integrand_chunks``) that fills one density row
-    per map; each energy is the ``np.sum`` of its own row. A group holds
-    as many maps as keep its rows within ``_GROUP_BYTES``, at least one
-    and at most one chunk's worth, so memory is bounded by the budget,
-    not by the number of maps. Needs a patch with exact jets.
+    maps are walked in groups, each group in one pass over the grid by
+    the reduction of :func:`willmore_energy`, which fills one density
+    row per map; each energy is the ``np.sum`` of its own row. A group
+    holds as many maps as keep its rows within ``_GROUP_BYTES``, at
+    least one and at most one chunk's worth, so memory is bounded by the
+    budget, not by the number of maps. Needs a patch with exact jets.
     """
-    if not grid.matches_domain(patch.domain):
-        raise ValueError("grid does not cover the patch domain")
     if any(mob.ambient_dim != patch.ambient_dim for mob in maps):
         raise ValueError("ambient dimensions do not match")
     power = patch.n / 2.0
-    total = grid.node_total
-    per_group = max(1, min(_chunk_points(patch), _GROUP_BYTES // (8 * total)))
+
+    def energy(rho_sq, sqrt_g, _):
+        return rho_sq**power * sqrt_g
+
+    per_group = max(1, min(_chunk_points(patch), _GROUP_BYTES // (8 * grid.node_total)))
+    fractions = [_linear_fraction(mob) for mob in maps]
     energies: list[Optional[float]] = []
     for first in range(0, len(maps), per_group):
-        group = maps[first : first + per_group]
-        density = np.empty((len(group), total))
-        done = ()
-        for start, stop, live, rho_sq, sqrt_g in _mobius_integrand_chunks(patch, grid, group):
-            density[live, start:stop] = rho_sq**power * sqrt_g * grid.weights(start, stop)
-            done = live if stop == total else ()
-        finished = {int(k): float(np.sum(density[k])) / patch.cover_multiplicity for k in done}
-        energies.extend(finished.get(k) for k in range(len(group)))
+        energies += _chunked_integral(patch, grid, energy, fractions[first : first + per_group])
     return energies
 
 
@@ -215,7 +220,7 @@ def grid_integral(patch: ImmersionPatch, grid: QuadratureGrid, values: np.ndarra
     if vals.shape != grid.shape:
         raise ValueError(f"grid function has shape {vals.shape}, expected {grid.shape}")
     flat = vals.reshape(-1)
-    return _chunked_integral(patch, grid, lambda _, sqrt_g, chunk: flat[chunk] * sqrt_g)
+    return _chunked_integral(patch, grid, lambda _, sqrt_g, chunk: flat[chunk] * sqrt_g)[0]
 
 
 def pinching_threshold(n: int, p: int, mode: str) -> float:
@@ -239,7 +244,7 @@ def pinching_integral(patch: ImmersionPatch, grid: QuadratureGrid, mode: str = "
     power = patch.n / 2.0
     return _chunked_integral(
         patch, grid, lambda rho_sq, sqrt_g, _: rho_sq**power * (threshold - rho_sq) * sqrt_g
-    )
+    )[0]
 
 
 def el_residual_isoparametric(spec: IsoparametricSpec) -> ELResidual:

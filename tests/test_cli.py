@@ -1,9 +1,11 @@
 import argparse
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -607,6 +609,33 @@ def test_optimize_refuses_one_sample_in_both_formats(capsys):
         for fmt in ("json", "csv"):
             argv = ["optimize", "1", "3", "--samples", samples, "--format", fmt]
             assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_csv_table_memory_follows_the_printed_text():
+    # Rows are written one at a time into the text, so the table costs a
+    # few times the text (its buffer, the copy it returns, the profile),
+    # not a Python list per row and a line per row on top.
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    argv = ["optimize", "1", "3", "--samples", "100000", "--format", "csv"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 5 * 10**6
+    assert peak < 5 * sink.size
 
 
 def test_gauss_legendre_count_above_the_cap_is_an_error_line(capsys):

@@ -23,8 +23,9 @@ from willmorelab.immersion import (
     PoleError,
     RankError,
     _chunk_points,
+    _integrand_chunks,
     _jets,
-    _mobius_integrand_chunks,
+    _linear_fraction,
     _tangent_gram_schmidt,
     mobius_apply,
     random_mobius,
@@ -426,7 +427,7 @@ def test_a_map_grazing_the_pole_partway_leaves_its_group():
     # the pointwise guard near node 1921 of 2304.
     maps = _probed(patch, 0, [45, 0, 1, 2, 3])
     assert len(maps) == 5
-    walk = list(_mobius_integrand_chunks(patch, grid, maps))
+    walk = list(_integrand_chunks(patch, grid, [_linear_fraction(m) for m in maps]))
     assert 0 in walk[0][2] and 0 not in walk[-1][2]
     assert walk[-1][1] == grid.node_total
     expected = [_one_walk(m, patch, grid) for m in maps]
@@ -441,13 +442,23 @@ def test_mobius_groups_split_at_the_byte_budget(monkeypatch):
     monkeypatch.setattr(willmore, "_GROUP_BYTES", 3 * 8 * grid.node_total)
     walked = []
 
-    def walk(patch, grid, group):
-        walked.append(len(group))
-        return _mobius_integrand_chunks(patch, grid, group)
+    def walk(patch, grid, fractions=None):
+        if fractions is not None:  # the reference walks have none
+            walked.append(len(fractions))
+        return _integrand_chunks(patch, grid, fractions)
 
-    monkeypatch.setattr(willmore, "_mobius_integrand_chunks", walk)
+    monkeypatch.setattr(willmore, "_integrand_chunks", walk)
     assert mobius_energies(patch, grid, maps) == [_one_walk(m, patch, grid) for m in maps]
     assert walked == [3, 3, 1]
+
+
+def test_mobius_energies_refuse_a_chart_without_exact_jets():
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 16)
+    maps = _probed(patch, 0, range(10))[:2]
+    assert mobius_energies(replace(patch, exact_jet=None), grid, []) == []
+    with pytest.raises(ValueError, match="only on charts with exact jets"):
+        mobius_energies(replace(patch, exact_jet=None), grid, maps)
 
 
 def test_mobius_energy_memory_follows_the_budget_not_the_map_count(monkeypatch):
