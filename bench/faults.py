@@ -1,0 +1,63 @@
+"""Minor page faults and seconds per pass of one benchmark workload.
+
+Runs the commands of ``perfbench/workloads.py`` in this process through
+``willmorelab.cli.main``, as ``perfbench/worker.py`` does: an untimed
+warm-up of every command at a small size, then ``--passes`` passes over
+the command list. Prints one JSON line with, per pass, its wall
+seconds, its minor page faults (the ``ru_minflt`` delta over the pass)
+and ``ru_maxrss`` after it, in MiB. Pin BLAS threads as perfbench does.
+From the root of a checkout, with its ``src`` on ``PYTHONPATH``:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/faults.py \\
+        --workload quadrature --seed 1 --passes 12
+
+``bench/record.py --fault-passes N`` runs it on both sides of a pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import WORKLOADS, warmup  # noqa: E402
+
+
+def run_pass(main, commands: list[list[str]]) -> None:
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--passes", type=int, default=12)
+    args = parser.parse_args(argv)
+    from willmorelab import cli
+
+    commands = WORKLOADS[args.workload](args.seed)
+    run_pass(cli.main, warmup(commands))
+    passes = []
+    for _ in range(args.passes):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        run_pass(cli.main, commands)
+        seconds = time.perf_counter() - start
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        passes.append({"s": seconds, "minflt": usage.ru_minflt - before,
+                       "maxrss_mb": usage.ru_maxrss / 1024.0})
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": passes}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,9 @@ won (ties count for neither), with the direction each metric improves
 in taken from ``BENCHMARK.json``. It also keeps every pair's metrics,
 both commits and the environment lines perfbench printed. Optional
 traced runs (``--traced-runs``, seeds after the untraced ones) add the
-per-layer medians of each side.
+per-layer medians of each side. ``--fault-passes N`` adds one
+``bench/faults.py`` run of N passes per side and workload: the minor
+page faults and seconds of each pass, summarized the same way.
 
 ``--cli "ARGS"`` times whole CLI runs, ``python3 -m willmorelab.cli
 ARGS`` with one BLAS thread, ``--repeats`` alternating pairs of them:
@@ -104,6 +106,24 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return parse_run(done.stdout)
 
 
+def _one_thread_env(checkout: Path) -> dict:
+    """The environment with the checkout's ``src`` on the path and one BLAS thread."""
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def _faults(checkout: Path, workload: str, seed: int, passes: int) -> list[dict]:
+    """Per-pass minor faults and seconds of one in-process ``bench/faults.py`` run."""
+    argv = [sys.executable, str(ROOT / "bench" / "faults.py"), "--workload", workload,
+            "--seed", str(seed), "--passes", str(passes)]
+    done = subprocess.run(argv, cwd=checkout, env=_one_thread_env(checkout),
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv[1:])} in {checkout} exited "
+                         f"{done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)["passes"]
+
+
 def _values(result: dict) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
@@ -144,10 +164,19 @@ def record_workload(checkouts: dict, workload: str, seeds: list[int], seconds: i
     return entry
 
 
+def record_faults(checkouts: dict, workload: str, seed: int, passes: int) -> dict:
+    """One ``bench/faults.py`` run per side: per-pass minor faults and seconds."""
+    entry = {"seed": seed, "passes": passes}
+    for side in SIDES:
+        runs = _faults(checkouts[side], workload, seed, passes)
+        entry[side] = {"minflt": summary([run["minflt"] for run in runs]),
+                       "s": summary([run["s"] for run in runs]), "runs": runs}
+    return entry
+
+
 def _time_cli(checkout: Path, argv: list[str]) -> tuple[dict, int, bytes]:
     """Wall time and peak RSS of one fresh CLI process, its exit code and stdout."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = _one_thread_env(checkout)
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "willmorelab.cli", *argv], cwd=checkout,
                             env=env, stdout=subprocess.PIPE)
@@ -182,6 +211,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--seeds", type=_seeds, default="1-10", help="N or FIRST-LAST")
     parser.add_argument("--traced-runs", type=int, default=0)
+    parser.add_argument("--fault-passes", type=int, default=0,
+                        help="passes of one bench/faults.py run per side and workload")
     parser.add_argument("--cli", action="append", default=[], help="CLI arguments to time")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, required=True)
@@ -198,6 +229,9 @@ def main(argv=None) -> int:
     for name in args.workload:
         record.setdefault("workloads", {})[name] = record_workload(
             checkouts, name, args.seeds, seconds, args.traced_runs, better)
+        if args.fault_passes:
+            record["workloads"][name]["faults"] = record_faults(
+                checkouts, name, args.seeds[0], args.fault_passes)
     for cli_args in args.cli:
         record.setdefault("cli", {})[cli_args] = record_cli(checkouts, cli_args, args.repeats)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -37,11 +37,11 @@ frame, and h_ij as ambient normal vectors):
   ``_CHUNK_BYTES`` (1 MiB), within [``_CHUNK_MIN``, ``_CHUNK_MAX``] =
   [256, 2048], and the large products of ``_second_form`` go to work
   buffers allocated once per walk, or over the spent second jet. The
-  energy, pinching, grid and conformal integrals reduce each chunk
-  into one 8-byte density per node and image, so their memory follows
-  the chunk, not the jets of the grid; :func:`laplace_beltrami` and
-  :func:`grid_gradient_pairing` gather the chunks into whole per-node
-  fields (``_integrand_fields``).
+  energy, pinching, grid and conformal integrals stream each chunk
+  into ``np.sum``'s pairwise tree, one per image, so their memory
+  follows the chunk, not the nodes or the jets of the grid;
+  :func:`laplace_beltrami` and :func:`grid_gradient_pairing` gather
+  the chunks into whole per-node fields (``_integrand_fields``).
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the

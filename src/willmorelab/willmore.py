@@ -61,10 +61,8 @@ __all__ = [
 ]
 
 _UMBILIC_GUARD = 1e-10
-# Density rows a group of conformal images holds at once, one 8-byte
-# density per node and map. A grid of more than _GROUP_BYTES / 16 nodes
-# takes one map per group and holds what willmore_energy holds.
-_GROUP_BYTES = 2**22
+# Longest run that np.sum adds without splitting it (NumPy's PW_BLOCKSIZE).
+_PAIRWISE_LEAF = 128
 # Maps drawn per requested conformal image before conformal_trials gives up.
 _DRAWS_PER_MAP = 20
 
@@ -102,6 +100,71 @@ class SurfaceResidual:
     max_norm: float
 
 
+def _pairwise_plan(total: int, block: int):
+    """``np.sum``'s pairwise tree over ``total`` values, in post order.
+
+    NumPy splits a run of n > ``_PAIRWISE_LEAF`` values into its first
+    n2 = n // 2 - (n // 2) % 8 and its last n - n2, sums each half the
+    same way and adds the two sums. The split is followed here down to
+    runs of at most ``max(block, _PAIRWISE_LEAF)`` values, the leaves,
+    which ``np.sum`` itself sums bit for bit. Yields each leaf's length
+    and, for each addition, 0: the top two sums of a stack are replaced
+    by their sum. The plan is generated as it is read, so it holds two
+    entries per level of the tree.
+    """
+    limit = max(block, _PAIRWISE_LEAF)
+    todo = [total]  # runs still to visit, the next one last; 0 is an addition
+    while todo:
+        n = todo.pop()
+        if n <= limit:
+            yield n
+        else:
+            half = n // 2 - n // 2 % 8
+            todo += (0, n - half, half)
+
+
+def _pairwise_sums(chunks, rows: int, total: int, block: int) -> list[Optional[float]]:
+    """``np.sum`` of each of ``rows`` rows of ``total`` values, streamed.
+
+    ``chunks`` yields (start, live, values): ``values[i]`` holds the
+    values of flat indices [start, start + values.shape[1]) of row
+    ``live[i]``, in order of ``start``, and a row may leave the stream
+    but never joins it. Each row's sum equals ``np.sum`` over the whole
+    row bit for bit (:func:`_pairwise_plan`). Only one leaf is buffered,
+    (rows, leaf) values, plus one sum per level of the tree, so memory
+    follows ``block``, not ``total``. A row not live at the last index,
+    or every row if the stream ends early, gets None.
+    """
+    plan = _pairwise_plan(total, block)
+    length = next(plan)
+    buf = np.zeros((rows, min(total, max(block, _PAIRWISE_LEAF))))
+    stack: list[np.ndarray] = []
+    lo = 0  # first flat index of the leaf being filled
+    live = ()
+    for start, live, values in chunks:
+        index = slice(None) if len(live) == rows else live  # a slice copies faster
+        stop = start + values.shape[1]
+        pos = start
+        while pos < stop:
+            end = min(stop, lo + length)
+            buf[index, pos - lo : end - lo] = values[:, pos - start : end - start]
+            pos = end
+            if pos == lo + length:
+                # Rows that left keep their earlier values; their sums are dropped.
+                stack.append(np.add.reduce(buf[:, :length], axis=-1))  # = np.sum
+                lo += length
+                for length in plan:
+                    if length:
+                        break
+                    right = stack.pop()
+                    stack[-1] = stack[-1] + right
+    if lo < total:
+        return [None] * rows
+    (sums,) = stack
+    done = set(int(k) for k in live)
+    return [float(sums[k]) if k in done else None for k in range(rows)]
+
+
 def _chunked_integral(
     patch: ImmersionPatch, grid: QuadratureGrid, integrand, fractions=None
 ) -> list[Optional[float]]:
@@ -112,22 +175,19 @@ def _chunked_integral(
     None for an image that left the walk at the pole guard. The kernel's
     fields arrive one chunk at a time, one row per live image, ``chunk``
     being the slice of flat node indices they belong to; f sqrt g times
-    the chunk's weights fills that slice of the image's row of one
-    node-sized density per image. One ``np.sum`` over a row gives the
-    summation order, and so every bit, of a whole-array reduction, at 8
-    bytes per node and image.
+    the chunk's weights is streamed into :func:`_pairwise_sums`, which
+    gives each image the bits of ``np.sum`` over one node-sized density
+    row without holding that row: its buffer is one chunk's worth.
     """
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
-    total = grid.node_total
-    density = np.empty((1 if fractions is None else len(fractions), total))
-    done = ()
-    for start, stop, live, rho_sq, sqrt_g, _ in _integrand_chunks(patch, grid, fractions):
-        values = integrand(rho_sq, sqrt_g, slice(start, stop))
-        density[live, start:stop] = values * grid.weights(start, stop)
-        done = live if stop == total else ()
-    finished = {int(k): float(np.sum(density[k])) / patch.cover_multiplicity for k in done}
-    return [finished.get(k) for k in range(len(density))]
+    rows = 1 if fractions is None else len(fractions)
+    densities = (
+        (start, live, integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop))
+        for start, stop, live, rho_sq, sqrt_g, _ in _integrand_chunks(patch, grid, fractions)
+    )
+    sums = _pairwise_sums(densities, rows, grid.node_total, _chunk_points(patch) // rows)
+    return [None if s is None else s / patch.cover_multiplicity for s in sums]
 
 
 def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
@@ -151,11 +211,11 @@ def mobius_energies(
     pointwise pole guard at a grid node. The maps are not probed first;
     the coarse clearance check of ``mobius_apply`` is the caller's. The
     maps are walked in groups, each group in one pass over the grid by
-    the reduction of :func:`willmore_energy`, which fills one density
-    row per map; each energy is the ``np.sum`` of its own row. A group
-    holds as many maps as keep its rows within ``_GROUP_BYTES``, at
-    least one and at most one chunk's worth, so memory is bounded by the
-    budget, not by the number of maps. Needs a patch with exact jets.
+    the reduction of :func:`willmore_energy`, which streams each map's
+    densities into its own pairwise sum. A group holds at most
+    ``_chunk_points(patch)`` maps, so that every map gets at least one
+    node per chunk; memory follows the chunk, not the number of maps or
+    of nodes. Needs a patch with exact jets.
     """
     if any(mob.ambient_dim != patch.ambient_dim for mob in maps):
         raise ValueError("ambient dimensions do not match")
@@ -164,7 +224,7 @@ def mobius_energies(
     def energy(rho_sq, sqrt_g, _):
         return rho_sq**power * sqrt_g
 
-    per_group = max(1, min(_chunk_points(patch), _GROUP_BYTES // (8 * grid.node_total)))
+    per_group = _chunk_points(patch)
     fractions = [_linear_fraction(mob) for mob in maps]
     energies: list[Optional[float]] = []
     for first in range(0, len(maps), per_group):

@@ -82,6 +82,25 @@ def test_record_workload_alternates_sides_on_canned_runs(monkeypatch):
     assert entry["metrics"]["digits"]["change"]["pairs_won"] == 0
 
 
+def test_record_faults_runs_each_side_once(monkeypatch):
+    calls = []
+
+    def fake_faults(checkout, workload, seed, passes):
+        calls.append((checkout.name, workload, seed, passes))
+        faults = 0 if checkout.name == "parent" else 4000
+        return [{"s": 2.0 + i / 100, "minflt": faults + i, "maxrss_mb": 40.0}
+                for i in range(passes)]
+
+    monkeypatch.setattr(record, "_faults", fake_faults)
+    checkouts = {"parent": Path("parent"), "change": Path("change")}
+    entry = record.record_faults(checkouts, "quadrature", 1, 3)
+    assert calls == [("parent", "quadrature", 1, 3), ("change", "quadrature", 1, 3)]
+    assert entry["seed"] == 1 and entry["passes"] == 3
+    assert entry["parent"]["minflt"]["median"] == 1
+    assert entry["change"]["minflt"]["median"] == 4001
+    assert len(entry["change"]["runs"]) == 3
+
+
 def test_time_cli_reports_wall_time_peak_rss_and_output():
     metrics, code, out = record._time_cli(_PATH.parents[1], ["catalog"])
     assert code == 0 and "veronese" in json.loads(out)["ids"]

@@ -253,36 +253,37 @@ def _traced_peaks(integral, patch, resolutions, prebuild=False):
 
 
 def test_energy_memory_follows_the_chunk_not_the_grid():
-    # Peak allocation during the energy grows by the per-node scalars
-    # only (here < 64 bytes per node), not by the O(M n^2 N) jet, which
-    # is 768 bytes per node for this chart.
+    # Peak allocation during the energy grows by less than 64 bytes per
+    # node (0.06 measured), not by the O(M n^2 N) jet, which is 768
+    # bytes per node for this chart.
     patch, _ = willmore_torus(2, 4)
     peaks = _traced_peaks(willmore_energy, patch, (12, 24), prebuild=True)
     assert peaks[1] - peaks[0] < 4 * 16 * 24**4
 
 
 def test_energy_memory_holds_no_node_array():
-    # The kernel gathers nodes and weights per chunk, so with no grid
-    # array built beforehand the peak grows by the one 8-byte density
-    # per node alone (8.06 bytes measured), not by rho^2, sqrt g, the
-    # weights or an M x n node array (16 bytes with two of them).
+    # The kernel gathers nodes and weights per chunk and the reduction
+    # streams them into np.sum's pairwise tree, so with no grid array
+    # built beforehand the peak grows by 0.06 bytes per node (measured),
+    # not by a node-sized density (8 bytes), rho^2, sqrt g, the weights
+    # or an M x n node array.
     patch, _ = willmore_torus(2, 4)
     peaks = _traced_peaks(willmore_energy, patch, (12, 24))
-    assert peaks[1] - peaks[0] < 10 * (24**4 - 12**4)
+    assert peaks[1] - peaks[0] < (24**4 - 12**4) // 8
 
 
 def test_pinching_memory_holds_no_node_array():
-    # As for the energy: 8.06 bytes per node measured.
+    # As for the energy: 0.06 bytes per node measured.
     patch, _ = willmore_torus(2, 4)
     peaks = _traced_peaks(pinching_integral, patch, (12, 24))
-    assert peaks[1] - peaks[0] < 10 * (24**4 - 12**4)
+    assert peaks[1] - peaks[0] < (24**4 - 12**4) // 8
 
 
 def test_energy_chunk_working_set_stays_small():
     # product-spheres:2,2,1 has the largest jet per point of the
     # benchmark charts (1600 bytes); at 512-point chunks with reused work
-    # buffers one 8^5 energy peaks at 5.1 MiB, of which the density is
-    # 0.25 MiB. 2048-point chunks with fresh temporaries read 20.2 MiB.
+    # buffers one 8^5 energy peaks at 3.2 MiB (3.5 MiB with a node-sized
+    # density row). 2048-point chunks with fresh temporaries read 20.2 MiB.
     patch = resolve("product-spheres:2,2,1").patch
     (peak,) = _traced_peaks(willmore_energy, patch, (8,))
     assert peak < 6 * 2**20
@@ -380,6 +381,71 @@ def test_chunked_quadratures_equal_the_whole_array_reduction_bit_for_bit(ident, 
     assert got == _reference_integral(patch, grid, lambda r, s: f * s)
 
 
+def _density_stream(values, segment, leaves=None):
+    """(start, live, values) chunks as the grid walk yields them.
+
+    Each chunk holds ``segment * rows // len(live)`` nodes of every live
+    row, so a chunk grows when a row leaves, as in the walk. ``leaves``
+    = (row, index): that row leaves at the first chunk past the index.
+    """
+    rows, total = values.shape
+    live = np.arange(rows)
+    start = 0
+    while start < total:
+        if leaves is not None and start >= leaves[1]:
+            live = live[live != leaves[0]]
+        stop = min(start + segment * rows // len(live), total)
+        yield start, live, values[live, start:stop]
+        start = stop
+
+
+def _spread_values(rows, total, seed):
+    """Values over ten orders of magnitude, of both signs: any change of
+    summation order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, total)) * 10.0 ** rng.integers(-5, 6, (rows, total))
+
+
+@pytest.mark.parametrize(
+    "total",
+    [1, 7, 8, 127, 128, 129, 1000, 8**5, 9**5, 40**3, 28**4, 2**16 + 2**15 + 7],
+)
+def test_pairwise_sums_equal_np_sum_bit_for_bit(total):
+    # The reduction relies on NumPy's pairwise order (PW_BLOCKSIZE 128,
+    # halves rounded down to multiples of 8). If a NumPy release changes
+    # it, this fails before any golden does, and says why.
+    for rows in (1, 3, 10) if total <= 2**17 else (1, 3):
+        values = _spread_values(rows, total, total + rows)
+        expected = [float(np.sum(row)) for row in values]
+        for segment in (1, 37, 204, 1024, 2048):
+            if total // segment > 4000:
+                continue
+            got = willmore._pairwise_sums(
+                _density_stream(values, segment), rows, total, segment
+            )
+            assert got == expected, (rows, segment)
+    if total > 2**16:
+        assert float(np.cumsum(values[0])[-1]) != expected[0]  # the data tell orders apart
+
+
+def test_pairwise_sums_drop_a_row_that_leaves():
+    for total in [*range(1, 300), 5000, 9**5]:
+        values = _spread_values(3, total, total)
+        sums = [float(np.sum(row)) for row in values]
+        for segment in (1, 37, 204):
+            leaves = (1, total // 2)  # row 1 leaves halfway, if a chunk starts there
+            chunks = list(_density_stream(values, segment, leaves))
+            expected = list(sums)
+            if chunks[-1][0] >= total // 2:
+                expected[1] = None
+            assert willmore._pairwise_sums(iter(chunks), 3, total, segment) == expected
+    # A stream that stops early, as the walk does when every image has
+    # left, finishes no row.
+    values = _spread_values(2, 1000, 0)
+    stream = (chunk for chunk in _density_stream(values, 37) if chunk[0] < 500)
+    assert willmore._pairwise_sums(stream, 2, 1000, 37) == [None, None]
+
+
 def _probed(patch, seed, trials):
     """The maps of these trials whose images pass the coarse pole check."""
     maps = []
@@ -435,11 +501,12 @@ def test_a_map_grazing_the_pole_partway_leaves_its_group():
     assert mobius_energies(patch, grid, maps) == expected
 
 
-def test_mobius_groups_split_at_the_byte_budget(monkeypatch):
+def test_mobius_groups_split_at_the_chunk_size(monkeypatch):
     patch, _ = clifford_torus(1, 2)
     grid = QuadratureGrid.for_patch(patch, 32)
     maps = _probed(patch, 2, range(30))[:7]
-    monkeypatch.setattr(willmore, "_GROUP_BYTES", 3 * 8 * grid.node_total)
+    # A walk takes at most one chunk's worth of maps; patched, three.
+    monkeypatch.setattr(willmore, "_chunk_points", lambda patch: 3)
     walked = []
 
     def walk(patch, grid, fractions=None):
@@ -461,7 +528,10 @@ def test_mobius_energies_refuse_a_chart_without_exact_jets():
         mobius_energies(replace(patch, exact_jet=None), grid, maps)
 
 
-def test_mobius_energy_memory_follows_the_budget_not_the_map_count(monkeypatch):
+def test_mobius_energy_memory_does_not_follow_the_map_count():
+    # Each map streams its densities into its own pairwise sum, so twelve
+    # maps hold no more than two: a node-sized row per map would add
+    # 10 x 128 KiB here.
     patch, _ = clifford_torus(1, 2)
     grid = QuadratureGrid.for_patch(patch, 128)
     row = 8 * grid.node_total
@@ -475,12 +545,8 @@ def test_mobius_energy_memory_follows_the_budget_not_the_map_count(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(willmore, "_GROUP_BYTES", 2 * row)
-    two, twelve = peak(2), peak(12)
-    assert twelve < two + row // 4
-    # Without the budget's bound twelve density rows are held at once.
-    monkeypatch.setattr(willmore, "_GROUP_BYTES", 12 * row)
-    assert peak(12) > two + 8 * row
+    assert len(maps) == 12
+    assert peak(12) < peak(2) + row // 4
 
 
 def test_a_rank_error_in_a_group_names_the_node():
