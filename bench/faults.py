@@ -4,8 +4,10 @@ Runs the commands of ``perfbench/workloads.py`` in this process through
 ``willmorelab.cli.main``, as ``perfbench/worker.py`` does: an untimed
 warm-up of every command at a small size, then ``--passes`` passes over
 the command list. Prints one JSON line with, per pass, its wall
-seconds, its minor page faults (the ``ru_minflt`` delta over the pass)
-and ``ru_maxrss`` after it, in MiB. Pin BLAS threads as perfbench does.
+seconds, its minor page faults (the ``ru_minflt`` delta over the pass),
+``ru_maxrss`` after it, in MiB, and each command that raised
+``ru_maxrss`` with the rise in MiB (``maxrss_steps``), so a climb of the
+high-water mark names its command. Pin BLAS threads as perfbench does.
 From the root of a checkout, with its ``src`` on ``PYTHONPATH``:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/faults.py \\
@@ -30,10 +32,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS, warmup  # noqa: E402
 
 
-def run_pass(main, commands: list[list[str]]) -> None:
+def maxrss_mb() -> float:
+    """This process's ``ru_maxrss`` so far, in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def run_pass(main, commands: list[list[str]]) -> list[dict]:
+    """Run the commands with their output discarded.
+
+    Returns the commands that raised ``ru_maxrss``, in order, each with
+    its rise in MiB.
+    """
+    steps = []
     for argv in commands:
+        before = maxrss_mb()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             main(argv)
+        rise = maxrss_mb() - before
+        if rise > 0:
+            steps.append({"command": " ".join(argv), "rise_mb": rise})
+    return steps
 
 
 def main(argv=None) -> int:
@@ -50,11 +68,11 @@ def main(argv=None) -> int:
     for _ in range(args.passes):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        run_pass(cli.main, commands)
+        steps = run_pass(cli.main, commands)
         seconds = time.perf_counter() - start
         usage = resource.getrusage(resource.RUSAGE_SELF)
         passes.append({"s": seconds, "minflt": usage.ru_minflt - before,
-                       "maxrss_mb": usage.ru_maxrss / 1024.0})
+                       "maxrss_mb": usage.ru_maxrss / 1024.0, "maxrss_steps": steps})
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": passes}))
     return 0
 

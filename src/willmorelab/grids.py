@@ -29,10 +29,11 @@ _WEIGHT_SUM_TOL = 1e-12
 # count companion matrix (128 MiB here, several seconds of eigensolve),
 # so a larger count is refused before it is built.
 GAUSS_LEGENDRE_MAX = 4096
-# Largest grid: a Laplacian keeps several node-sized fields and points()
-# an n-column node array (128 MiB per double a node here), so a larger
-# product of counts is refused from the counts alone, before anything
-# is built. Quadratures stream their nodes and hold no node-sized array.
+# Largest grid: a Laplacian keeps the per-node metric fields it gathers
+# and its result, and points() an n-column node array (128 MiB per
+# double a node here), so a larger product of counts is refused from
+# the counts alone, before anything is built. Quadratures stream their
+# nodes and hold no node-sized array.
 GRID_NODE_MAX = 2**24
 
 

@@ -40,8 +40,11 @@ frame, and h_ij as ambient normal vectors):
   energy, pinching, grid and conformal integrals stream each chunk
   into ``np.sum``'s pairwise tree, one per image, so their memory
   follows the chunk, not the nodes or the jets of the grid;
-  :func:`laplace_beltrami` and :func:`grid_gradient_pairing` gather
-  the chunks into whole per-node fields (``_integrand_fields``).
+  :func:`laplace_beltrami` and :func:`grid_gradient_pairing` write the
+  chunks into per-node fields allocated once (``_integrand_fields``).
+  The Laplacian's stencil (``_grid_laplacian``) then sweeps blocks of
+  grid rows, so its temporaries follow the block and only its result
+  is node-sized.
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -109,6 +112,9 @@ FRAME_TOL = 1e-12
 _CHUNK_BYTES = 2**20
 _CHUNK_MIN = 256
 _CHUNK_MAX = 2048
+# Fewest rows in a block of the grid Laplacian, so the halo rows it
+# reads twice stay a small share of a block.
+_BLOCK_ROWS_MIN = 16
 
 JetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -631,16 +637,19 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
 def _integrand_fields(patch: ImmersionPatch, nodes):
     """Per-point (rho^2, sqrt g, g^{-1}) over all of ``nodes``.
 
-    The chunks of :func:`_integrand_chunks`, gathered into whole arrays
+    The chunks of :func:`_integrand_chunks`, written into whole arrays
     for the grid operators that need every node at once: one scalar
-    pair and one n x n matrix per point.
+    pair and one n x n matrix per point. The arrays are allocated once,
+    so no chunk is held twice.
     """
-    rho_sq, sqrt_g, ginv = [], [], []
-    for _, _, _, r, s, coef in _integrand_chunks(patch, nodes):
-        rho_sq.append(r[0])
-        sqrt_g.append(s[0])
-        ginv.append(coef.transpose(0, 2, 1) @ coef)
-    return np.concatenate(rho_sq), np.concatenate(sqrt_g), np.concatenate(ginv)
+    m = nodes.node_total if isinstance(nodes, QuadratureGrid) else len(np.atleast_2d(nodes))
+    n = patch.n
+    rho_sq, sqrt_g, ginv = np.empty(m), np.empty(m), np.empty((m, n, n))
+    for start, stop, _, r, s, coef in _integrand_chunks(patch, nodes):
+        rho_sq[start:stop] = r[0]
+        sqrt_g[start:stop] = s[0]
+        np.matmul(coef.transpose(0, 2, 1), coef, out=ginv[start:stop])
+    return rho_sq, sqrt_g, ginv
 
 
 def shape_data(patch: ImmersionPatch, u, step: float = FD_STEP) -> ShapeData:
@@ -685,42 +694,70 @@ def _periodic_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
+def _block_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """:func:`_periodic_partial` of a row block, without its halo.
+
+    ``values`` carries one halo row on each side of axis 0.
+    """
+    if axis == 0:
+        return (values[2:] - values[:-2]) / (2.0 * h)
+    return _periodic_partial(values[1:-1], axis, h)
+
+
 def _grid_laplacian(
     patch: ImmersionPatch,
     f: np.ndarray,
-    ginv: np.ndarray,
+    ginv_rows: Callable[[np.ndarray], np.ndarray],
     sqrt_g: np.ndarray,
     grid: QuadratureGrid,
 ) -> np.ndarray:
     """Laplace-Beltrami of a grid function from the metric fields at the nodes.
 
-    ``ginv`` is (M, n, n) and ``sqrt_g`` (M,), in the row-major node
-    order of the grid. sqrt g takes the fold sign of the patch, so on a
-    doubled chart the flux stays smooth across the fold instead of
-    following the kink of |sqrt g|.
+    ``ginv_rows(rows)`` returns g^{-1} on the grid rows ``rows`` (indices
+    along axis 0), shaped (len(rows),) + grid.shape[1:] + (n, n), and
+    ``sqrt_g`` is (M,), in the row-major node order of the grid. sqrt g
+    takes the fold sign of the patch, so on a doubled chart the flux
+    stays smooth across the fold instead of following the kink of
+    |sqrt g|.
+
+    The stencil sweeps blocks of rows along axis 0, about
+    ``_chunk_points(patch)`` nodes and at least ``_BLOCK_ROWS_MIN`` rows
+    each. A block reads f with a two-row periodic halo and the metric
+    with a one-row halo, and runs the elementwise operations of the
+    whole-array stencil in their order, so it gives the same bits while
+    its temporaries follow the block; only the result is node-sized.
     """
     n = grid.ndim
-    ginv = ginv.reshape(grid.shape + (n, n))
-    sg = sqrt_g.reshape(grid.shape)
-    if patch.fold_axes:
-        sg = sg * _fold_sign(patch, np.ix_(*grid.nodes_1d))
+    count = grid.counts[0]
+    sg_all = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(n)]
-    partials = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
-    # Every flux before any divergence, so the partials are freed first,
-    # each flux summed in place in the order of sg * sum_b g^{ab} d_b f:
-    # the same bits with fewer node-sized fields held at once.
-    fluxes = []
-    for a in range(n):
-        flux = np.zeros_like(f)
-        for b in range(n):
-            flux += ginv[..., a, b] * partials[b]
-        flux *= sg
-        fluxes.append(flux)
-    del partials
-    div = np.zeros_like(f)
-    for a in range(n):
-        div = div + _periodic_partial(fluxes[a], a, spacings[a])
-    return div / sg
+    block = max(_BLOCK_ROWS_MIN, _chunk_points(patch) * count // grid.node_total)
+    out = np.empty(grid.shape)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        rows = np.arange(start - 2, stop + 2) % count
+        inner = rows[1:-1]
+        ginv = ginv_rows(inner)
+        sg = sg_all[inner]
+        if patch.fold_axes:
+            sg = sg * _fold_sign(patch, np.ix_(grid.nodes_1d[0][inner], *grid.nodes_1d[1:]))
+        values = f[rows]
+        partials = [_block_partial(values, a, spacings[a]) for a in range(n)]
+        # Every flux before any divergence, so the partials are freed first,
+        # each flux summed in place in the order of sg * sum_b g^{ab} d_b f.
+        fluxes = []
+        for a in range(n):
+            flux = np.zeros_like(partials[0])
+            for b in range(n):
+                flux += ginv[..., a, b] * partials[b]
+            flux *= sg
+            fluxes.append(flux)
+        del values, partials, ginv
+        div = np.zeros_like(out[start:stop])
+        for a in range(n):
+            div = div + _block_partial(fluxes[a], a, spacings[a])
+        np.divide(div, sg[1:-1], out=out[start:stop])
+    return out
 
 
 def _require_periodic_grid(patch: ImmersionPatch, grid: QuadratureGrid) -> None:
@@ -747,13 +784,18 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     :func:`grid_gradient_pairing` and ``grid_integral`` it holds only to
     O(h^2); on ``round_sphere(2, 1, 0.8)`` with f = x_0 the gap is
     0.076, 0.019 and 0.0048 at 32, 64 and 128 nodes per axis.
+
+    sqrt g and g^{-1} are gathered once per node; the row-blocked
+    stencil reads slices of them, so its own temporaries follow a block
+    of rows.
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
     _, sqrt_g, ginv = _integrand_fields(patch, grid)
-    return _grid_laplacian(patch, values, ginv, sqrt_g, grid)
+    ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
+    return _grid_laplacian(patch, values, lambda rows: ginv[rows], sqrt_g, grid)
 
 
 def grid_gradient_pairing(

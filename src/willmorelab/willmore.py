@@ -342,7 +342,11 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
 
     Needs n = 2 and codimension 1 (so the normal Laplacian collapses to
     the scalar Laplace-Beltrami of the signed mean curvature) and a
-    fully periodic chart for the discrete Laplacian.
+    fully periodic chart for the discrete Laplacian. The metric is kept
+    as its upper triangle, g_00, g_01 and g_11 per node (it is symmetric
+    bit for bit), and the row-blocked Laplacian inverts each block's
+    rows as it reads them; each 2 x 2 is inverted on its own, so the
+    bits are those of inverting every node at once.
     """
     if patch.n != 2:
         raise ValueError("surface residual needs a 2-dimensional patch")
@@ -354,7 +358,7 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
     pts = grid.points()
     m = len(pts)
     h_signed, s_field, sqrt_g = np.empty(m), np.empty(m), np.empty(m)
-    ginv = np.empty((m, 2, 2))
+    metric = np.empty((m, 3))
     size = _chunk_points(patch)
     for start in range(0, m, size):
         chunk = slice(start, start + size)
@@ -365,11 +369,21 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
         h_signed[chunk] = batch.mean_vector[:, 0]
         s_field[chunk] = batch.S
         sqrt_g[chunk] = batch.sqrt_g
-        ginv[chunk] = np.linalg.inv(batch.metric)
+        metric[chunk] = batch.metric[:, (0, 0, 1), (0, 1, 1)]
     h_signed = h_signed.reshape(grid.shape)
-    s_field = s_field.reshape(grid.shape)
-    lap = _grid_laplacian(patch, h_signed, ginv, sqrt_g, grid)
-    values = lap + h_signed * (s_field - 2.0 * h_signed**2)
+    metric = metric.reshape(grid.shape + (3,))
+
+    def ginv_rows(rows):
+        return np.linalg.inv(metric[rows][..., (0, 1, 1, 2)].reshape(len(rows), -1, 2, 2))
+
+    lap = _grid_laplacian(patch, h_signed, ginv_rows, sqrt_g, grid)
+    del metric, sqrt_g
+    # lap + H (S - 2 H^2), one operation at a time in place.
+    values = np.square(h_signed)
+    values *= 2.0
+    np.subtract(s_field.reshape(grid.shape), values, out=values)
+    values *= h_signed
+    values += lap
     return SurfaceResidual(values=values, max_norm=float(np.max(np.abs(values))))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from willmorelab.catalog import (
 )
 from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import (
+    _BLOCK_ROWS_MIN,
     _CHUNK_MAX,
     RANK_TOL,
     ImmersionPatch,
@@ -41,7 +43,7 @@ from willmorelab.immersion import (
     shape_batch,
     shape_data,
 )
-from willmorelab.willmore import grid_integral, willmore_energy
+from willmorelab.willmore import el_residual_surface, grid_integral, willmore_energy
 
 
 def _flat_patch():
@@ -306,6 +308,124 @@ def test_integration_by_parts_on_a_folded_chart_takes_the_fold_sign():
     lap_f, grad_sq = _fold_signed_sums(sphere, f, laplace_beltrami(sphere, f, grid), grid)
     assert grad_sq > 1.0
     assert abs(lap_f + grad_sq) <= 1e-14 * grad_sq
+
+
+def _reference_grid_laplacian(patch, f, ginv, sqrt_g, grid):
+    """The whole-array stencil, kept as the bit-for-bit reference.
+
+    ``ginv`` is (M, n, n) and ``sqrt_g`` (M,): every node's metric at
+    once, with node-sized rolls, partials and fluxes.
+    """
+    n = grid.ndim
+    ginv = ginv.reshape(grid.shape + (n, n))
+    sg = sqrt_g.reshape(grid.shape)
+    if patch.fold_axes:
+        sg = sg * _fold_sign(patch, np.ix_(*grid.nodes_1d))
+    spacings = [grid.spacing(a) for a in range(n)]
+    partials = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
+    fluxes = []
+    for a in range(n):
+        flux = np.zeros_like(f)
+        for b in range(n):
+            flux += ginv[..., a, b] * partials[b]
+        flux *= sg
+        fluxes.append(flux)
+    div = np.zeros_like(f)
+    for a in range(n):
+        div = div + _periodic_partial(fluxes[a], a, spacings[a])
+    return div / sg
+
+
+def _reference_surface_residual(patch, grid):
+    """Delta H + H (S - 2 H^2) from whole per-node fields and the whole-array stencil."""
+    pts = grid.points()
+    size = _chunk_points(patch)
+    batches = [shape_batch(patch, pts[start:start + size]) for start in range(0, len(pts), size)]
+    h = np.concatenate([b.mean_vector[:, 0] for b in batches]).reshape(grid.shape)
+    s = np.concatenate([b.S for b in batches]).reshape(grid.shape)
+    sqrt_g = np.concatenate([b.sqrt_g for b in batches])
+    ginv = np.concatenate([np.linalg.inv(b.metric) for b in batches])
+    lap = _reference_grid_laplacian(patch, h, ginv, sqrt_g, grid)
+    return lap + h * (s - 2.0 * h**2)
+
+
+def _assert_block_layout(patch, grid, layout):
+    # The rows per block of the stencil, as _grid_laplacian sizes them.
+    count = grid.counts[0]
+    block = max(_BLOCK_ROWS_MIN, _chunk_points(patch) * count // grid.node_total)
+    if layout == "wraps":  # one block, whose halo wraps onto the block itself
+        assert count <= block
+    elif layout == "ragged":  # the last block is shorter
+        assert count > block and count % block
+    else:
+        assert count > block and not count % block
+
+
+_BLOCKED_CASES = [
+    ("clifford-torus:1,2", 256, "even"),
+    ("round-sphere:2,1,0.8", 64, "even"),  # folded: sqrt g takes the fold sign
+    ("clifford-torus:1,2", 8, "wraps"),
+    ("clifford-torus:1,2", (40, 64), "ragged"),
+]
+
+
+@pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES + [
+    ("product-spheres:1,1,1", 24, "ragged"),
+    ("product-spheres:1,1,1", (8, 10, 12), "wraps"),
+])
+def test_laplace_beltrami_equals_the_whole_array_stencil_bit_for_bit(ident, res, layout):
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    _assert_block_layout(patch, grid, layout)
+    pts = grid.points()
+    f = (np.sin(pts[:, 0] + 0.3) * (1.0 + 0.5 * np.cos(2.0 * pts[:, -1]))).reshape(grid.shape)
+    _, sqrt_g, ginv = _integrand_fields(patch, grid)
+    want = _reference_grid_laplacian(patch, f, ginv, sqrt_g, grid)
+    got = laplace_beltrami(patch, f, grid)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
+def test_surface_residual_equals_the_whole_array_stencil_bit_for_bit(ident, res, layout):
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    _assert_block_layout(patch, grid, layout)
+    want = _reference_surface_residual(patch, grid)
+    got = el_residual_surface(patch, grid)
+    assert np.array_equal(got.values, want)
+    assert got.max_norm == float(np.max(np.abs(want)))
+
+
+def test_shape_batch_metric_is_symmetric_bit_for_bit():
+    # The surface residual stores only the upper triangle of the metric.
+    rng = np.random.default_rng(18)
+    for patch in _catalog_patches():
+        pts = sample_safe_points(patch, rng, 64)
+        images = [moved for _, moved in _pole_safe_images(patch, 700, 2)]
+        for chart in [patch] + images:
+            metric = shape_batch(chart, pts).metric
+            assert np.array_equal(metric, metric.transpose(0, 2, 1)), chart.name
+
+
+def test_laplace_beltrami_memory_follows_the_block_not_the_grid():
+    # Peak allocation grows by the gathered fields and the result: rho^2,
+    # sqrt g and four g^{-1} entries per node (6 doubles measured; the
+    # result is written after the gather's chunk is freed). The stencil's
+    # rolls, partials and fluxes follow its row block. Gathering by
+    # concatenation and a whole-array stencil measured 9.7.
+    patch = _flat_patch()
+    peaks = []
+    for res in (128, 256):
+        grid = QuadratureGrid.for_patch(patch, res)
+        th = grid.points()[:, 0].reshape(grid.shape)
+        f = np.sin(th)
+        tracemalloc.start()
+        try:
+            laplace_beltrami(patch, f, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * 8 * (256**2 - 128**2)
 
 
 def test_mobius_identity_map_is_exact():
