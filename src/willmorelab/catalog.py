@@ -538,13 +538,19 @@ def isoparametric_from_shape(sd: ShapeData) -> IsoparametricSpec:
 
 
 class UnknownExampleError(ValueError):
-    """Raised for example ids outside the catalog; carries the id list."""
+    """Raised for example ids outside the catalog; carries the id list.
 
-    def __init__(self, example_id: str):
+    A known form with bad parameters passes ``cause``, the text of the
+    error its parser or constructor raised, and the message names it.
+    """
+
+    def __init__(self, example_id: str, cause: Optional[str] = None):
         self.example_id = example_id
-        super().__init__(
-            f"unknown example id {example_id!r}; known forms: " + ", ".join(catalog_ids())
-        )
+        if cause is None:
+            head = f"unknown example id {example_id!r}"
+        else:
+            head = f"bad example id {example_id!r}: {cause}"
+        super().__init__(f"{head}; known forms: " + ", ".join(catalog_ids()))
 
 
 def catalog_ids() -> list[str]:
@@ -560,15 +566,23 @@ def catalog_ids() -> list[str]:
 _VERONESE_SPEC_POINT = np.array([1.1, 0.7])
 
 
+def _fields(name: str, arg: str, form: str) -> list[str]:
+    """The comma-separated parameters of an id, as many as ``form`` names."""
+    parts = arg.split(",")
+    if len(parts) != form.count(",") + 1:
+        raise ValueError(f"{name} needs {form}")
+    return parts
+
+
 def resolve(example_id: str) -> CatalogEntry:
     """Resolve a catalog id string to its patch and isoparametric data."""
     name, _, arg = example_id.partition(":")
     try:
         if name == "willmore-torus":
-            m, n = (int(s) for s in arg.split(","))
+            m, n = (int(s) for s in _fields(name, arg, "m,n"))
             patch, spec = willmore_torus(m, n)
         elif name == "clifford-torus":
-            m, n = (int(s) for s in arg.split(","))
+            m, n = (int(s) for s in _fields(name, arg, "m,n"))
             patch, spec = clifford_torus(m, n)
         elif name == "veronese":
             if arg:
@@ -579,9 +593,7 @@ def resolve(example_id: str) -> CatalogEntry:
             ms = tuple(int(s) for s in arg.split(","))
             patch, spec = product_spheres(ms)
         elif name == "round-sphere":
-            parts = arg.split(",")
-            if len(parts) != 3:
-                raise ValueError("round-sphere needs n,p,r")
+            parts = _fields(name, arg, "n,p,r")
             n, p, r = int(parts[0]), int(parts[1]), float(parts[2])
             patch = round_sphere(n, p, r)
             spec = round_sphere_spec(n, p, r)
@@ -590,5 +602,5 @@ def resolve(example_id: str) -> CatalogEntry:
     except UnknownExampleError:
         raise
     except (ValueError, TypeError) as exc:
-        raise UnknownExampleError(example_id) from exc
+        raise UnknownExampleError(example_id, str(exc)) from exc
     return CatalogEntry(example_id=example_id, patch=patch, spec=spec)

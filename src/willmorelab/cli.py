@@ -14,10 +14,11 @@ built only for --format csv or --out: JSON output never pays for it.
 
 Randomized suites derive one child stream per trial from (seed, trial
 index), so identical seeds give byte-identical output regardless of how
-trials might be scheduled. :func:`run_suite` draws per trial only what
-that trial's stream yields, in index order; everything derived from the
-draws (symmetric tensors, trace splits, equality pairs) is built once
-per group of same-shaped trials, checked in one array call.
+trials might be scheduled. :func:`run_suite` makes per trial only the
+generator calls of that trial's stream, in index order; everything
+derived from the raw draws (symmetric matrices, trace-free families,
+symmetric tensors, trace splits, equality pairs) is built once per group
+of same-shaped trials, checked in one array call.
 """
 
 from __future__ import annotations
@@ -47,11 +48,15 @@ from .optimize import (
 )
 from .tensors import (
     SymTensor3,
+    _symmetric_from_unit,
+    _trace_free_from_unit,
+    _unit_box,
     canonical_pair,
     check_chern_inequality,
     check_li_inequality,
     equality_witness,
     f_tensor_decompose,
+    # Not called here: perfbench's tracer patches these two cli names.
     random_symmetric,
     random_trace_free_family,
     trial_rng,
@@ -306,39 +311,47 @@ def _cmd_pinch(args: argparse.Namespace) -> int:
 
 
 def _draw_trial(name: str, rng: np.random.Generator):
-    """Group key and draws of one trial, in the stream's fixed draw order."""
+    """Group key and raw draws of one trial, in the stream's fixed draw order.
+
+    Only the generator calls run per trial; :func:`_check_group` turns a
+    group's raw draws into matrices and tensors. A (k, n, n) draw takes
+    the stream of k (n, n) draws, and one size-2 draw that of two scalar
+    draws.
+    """
     if name == "commutator_bound":
         n = int(rng.integers(2, 7))
-        return n, (random_symmetric(n, rng), random_symmetric(n, rng))
+        return n, (rng.random((2, n, n)),)
     if name == "witness_recovery":
         n = int(rng.integers(2, 7))
-        lam = rng.uniform(0.2, 2.0)
-        mu = rng.uniform(0.2, 2.0)
-        return n, (lam, mu, rng.normal(size=(n, n)))
+        return n, (rng.uniform(0.2, 2.0, size=2), rng.normal(size=(n, n)))
     n = int(rng.integers(2, 6))
     p = int(rng.integers(1, 4))
-    if name == "family_bound":
-        return (n, p), (random_trace_free_family(n, p, rng),)
-    return (n, p), (rng.uniform(-1.0, 1.0, size=(p, n, n, n)),)
+    shape = (p, n, n, n) if name == "trace_split" else (p, n, n)
+    return (n, p), (rng.random(shape),)
 
 
 def _check_group(name: str, stacks: list[np.ndarray]) -> np.ndarray:
-    """Slack or residual of every trial in one group of stacked draws."""
+    """Slack or residual of every trial in one group of stacked draws.
+
+    The raw draws become matrices by the steps of ``random_symmetric``
+    and ``random_trace_free_family``, applied to the whole group.
+    """
     if name == "commutator_bound":
-        return check_chern_inequality(*stacks)
+        pairs = _symmetric_from_unit(stacks[0])
+        return check_chern_inequality(pairs[:, 0], pairs[:, 1])
     if name == "family_bound":
-        return check_li_inequality(*stacks)
+        return check_li_inequality(_trace_free_from_unit(stacks[0]))
     if name == "witness_recovery":
         # Conjugate (lam A0, mu B0) by the Q factor of each trial's draw.
-        lam, mu, draws = stacks
+        scales, draws = stacks
         a0, b0 = canonical_pair(draws.shape[-1])
         q, _ = np.linalg.qr(draws)
         qt = np.swapaxes(q, -1, -2)
-        a = q @ (lam[:, None, None] * a0.data) @ qt
-        b = q @ (mu[:, None, None] * b0.data) @ qt
+        a = q @ (scales[:, 0, None, None] * a0.data) @ qt
+        b = q @ (scales[:, 1, None, None] * b0.data) @ qt
         return equality_witness(a, b)[3]
     p, n = stacks[0].shape[1:3]
-    tensor = SymTensor3(n, p, stacks[0])
+    tensor = SymTensor3(n, p, _unit_box(stacks[0]))
     _, _, residual = f_tensor_decompose(tensor)
     return residual / (1.0 + tensor.norm_sq())
 

@@ -726,6 +726,9 @@ def _grid_laplacian(
     with a one-row halo, and runs the elementwise operations of the
     whole-array stencil in their order, so it gives the same bits while
     its temporaries follow the block; only the result is node-sized.
+    A block's first two metric rows are the last two of the block before
+    it and are reused, so ``ginv_rows`` is asked for every row once,
+    apart from the two rows where the sweep wraps around.
     """
     n = grid.ndim
     count = grid.counts[0]
@@ -733,11 +736,16 @@ def _grid_laplacian(
     spacings = [grid.spacing(a) for a in range(n)]
     block = max(_BLOCK_ROWS_MIN, _chunk_points(patch) * count // grid.node_total)
     out = np.empty(grid.shape)
+    halo = None
     for start in range(0, count, block):
         stop = min(start + block, count)
         rows = np.arange(start - 2, stop + 2) % count
         inner = rows[1:-1]
-        ginv = ginv_rows(inner)
+        if halo is None:
+            ginv = ginv_rows(inner)
+        else:
+            ginv = np.concatenate([halo, ginv_rows(inner[2:])])
+        halo = ginv[-2:].copy()
         sg = sg_all[inner]
         if patch.fold_axes:
             sg = sg * _fold_sign(patch, np.ix_(grid.nodes_1d[0][inner], *grid.nodes_1d[1:]))

@@ -127,17 +127,26 @@ class SymTensor3:
 
 
 def _item_sums(arr: np.ndarray, item_ndim: int):
-    """Sum over the trailing ``item_ndim`` axes, one reduction per item.
+    """Sum over the trailing ``item_ndim`` axes, bit for bit one
+    ``np.sum`` per item, in one reduction.
 
-    A reduction over those axes of the whole stack can round differently
-    in the last bit, so each item keeps the summation order of a lone
-    array.
+    ``np.sum`` of one item walks its elements in memory order (NumPy's
+    'K' order) along one pairwise tree, so the tree depends on the
+    layout, not only on the values. Each item is therefore copied into
+    a row in its own memory order, and one reduction over the rows gives
+    every item its own tree. The layout differs from C order here: a
+    stacked :class:`SymTensor3` gathers its entries by index arrays, so
+    the stack axes are interleaved innermost (strides like
+    (24, 8, 2112, 1056, 528)). Rows in C index order sum those entries
+    in another order and move a trace-split residual in its last bits.
     """
     if arr.ndim == item_ndim:
         return float(np.sum(arr))
-    lead = arr.shape[: arr.ndim - item_ndim]
-    items = arr.reshape((-1,) + arr.shape[arr.ndim - item_ndim :])
-    return np.array([np.add.reduce(item, axis=None) for item in items]).reshape(lead)
+    lead = arr.ndim - item_ndim
+    # Item axes from the largest stride to the smallest: the items' memory order.
+    item_axes = sorted(range(lead, arr.ndim), key=lambda a: -abs(arr.strides[a]))
+    rows = np.ascontiguousarray(arr.transpose(tuple(range(lead)) + tuple(item_axes)))
+    return np.add.reduce(rows.reshape(arr.shape[:lead] + (-1,)), axis=-1)
 
 
 def traceless_part(family: ShapeFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -381,19 +390,48 @@ def trial_rngs(seed: int, trials: range):
         yield trial_rng(seed, trial)
 
 
+def _unit_box(u: np.ndarray) -> np.ndarray:
+    """Draws of ``Generator.random`` on [0, 1), mapped onto [-1, 1).
+
+    ``uniform(-1.0, 1.0)`` returns -1 + 2u for the same doubles u, and
+    both steps are exact, so the bits agree; ``random`` costs about half
+    as much a call.
+    """
+    return -1.0 + 2.0 * u
+
+
+def _symmetric_from_unit(u: np.ndarray) -> np.ndarray:
+    """Symmetric matrices from draws u on [0, 1) over the last two axes.
+
+    One matrix or a stack: m = :func:`_unit_box` of u, then 0.5 (m + m^t).
+    """
+    m = _unit_box(u)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _trace_free_from_unit(u: np.ndarray) -> np.ndarray:
+    """Trace-free families from (..., p, n, n) draws on [0, 1).
+
+    One family or a stack: :func:`_symmetric_from_unit`, then each
+    matrix minus (trace / n) I.
+    """
+    sym = _symmetric_from_unit(u)
+    n = sym.shape[-1]
+    trace = np.trace(sym, axis1=-2, axis2=-1)
+    return sym - (trace / n)[..., None, None] * np.eye(n)
+
+
 def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, n) array: entries i.i.d. uniform on [-1, 1], then symmetrized."""
-    m = rng.uniform(-1.0, 1.0, size=(n, n))
-    return 0.5 * (m + m.T)
+    return _symmetric_from_unit(rng.random((n, n)))
 
 
 def random_trace_free_family(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """(p, n, n) array: symmetrized uniform entries with the trace projected out.
 
     One (p, n, n) draw takes the same stream as p draws of
-    :func:`random_symmetric`, and gives the same family.
+    :func:`random_symmetric`, and gives the same family. The property
+    suites draw the raw (p, n, n) entries per trial and apply the same
+    steps to a whole group of trials at once.
     """
-    m = rng.uniform(-1.0, 1.0, size=(p, n, n))
-    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    trace = np.trace(sym, axis1=-2, axis2=-1)
-    return sym - (trace / n)[:, None, None] * np.eye(n)
+    return _trace_free_from_unit(rng.random((p, n, n)))

@@ -209,18 +209,29 @@ def test_resolve_veronese_spec_from_exact_shape():
 
 
 def test_resolve_rejects_unknown_and_malformed_ids():
-    for bad in [
-        "nonsense",
-        "willmore-torus:banana",
-        "willmore-torus:1",
-        "willmore-torus:2,2",
-        "veronese:3",
-        "round-sphere:2,1",
-        "product-spheres:",
+    # A known form with bad parameters names the error behind the refusal.
+    for bad, cause in [
+        ("nonsense", None),
+        ("willmore-torus:banana", "willmore-torus needs m,n"),
+        ("willmore-torus:1,banana", "invalid literal for int() with base 10: 'banana'"),
+        ("willmore-torus:1", "willmore-torus needs m,n"),
+        ("clifford-torus:1,2,3", "clifford-torus needs m,n"),
+        ("willmore-torus:2,2", "need 1 <= m <= n - 1, got m=2, n=2"),
+        ("veronese:3", "veronese takes no arguments"),
+        ("round-sphere:2,1", "round-sphere needs n,p,r"),
+        ("round-sphere:2,1,1.5", "radius must lie in (0, 1], got 1.5"),
+        ("product-spheres:", "invalid literal for int() with base 10: ''"),
     ]:
         with pytest.raises(UnknownExampleError) as err:
             resolve(bad)
-        assert "known forms" in str(err.value)
+        message = str(err.value)
+        assert "known forms" in message
+        if cause is None:
+            assert err.value.__cause__ is None
+            assert message.startswith(f"unknown example id {bad!r};")
+        else:
+            assert str(err.value.__cause__) == cause
+            assert message.startswith(f"bad example id {bad!r}: {cause}; known forms: ")
     assert any(form.startswith("veronese") for form in catalog_ids())
 
 

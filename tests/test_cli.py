@@ -83,9 +83,14 @@ def test_tolerance_must_be_positive_and_finite(capsys, argv, tolerance):
 
 
 def test_unknown_example_id(capsys):
-    code, _, err = run(capsys, ["energy", "mystery-manifold"])
-    assert code == 2
-    assert "known forms" in err
+    for ident, reason in [
+        ("mystery-manifold", "unknown example id 'mystery-manifold'"),
+        ("round-sphere:2,1,1.5", "bad example id 'round-sphere:2,1,1.5': radius must lie in (0, 1]"),
+    ]:
+        code, _, err = run(capsys, ["energy", ident])
+        assert code == 2
+        assert err.startswith(f"error: {reason}")
+        assert "known forms" in err
 
 
 def test_config_validation_exit_codes(capsys):

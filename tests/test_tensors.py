@@ -8,7 +8,9 @@ from willmorelab.tensors import (
     _HASH_BLOCK,
     ShapeFamily,
     SymTensor3,
+    _item_sums,
     _trial_states,
+    _unit_box,
     canonical_pair,
     check_chern_inequality,
     check_li_inequality,
@@ -238,6 +240,18 @@ def test_trial_rng_reproducibility():
     assert not np.array_equal(a, c)
 
 
+def test_unit_box_draws_equal_uniform_draws():
+    # The random draws call Generator.random and map onto [-1, 1): the
+    # bits and the stream position of uniform(-1, 1).
+    for trial in range(50):
+        rng, ref = trial_rng(53, trial), trial_rng(53, trial)
+        shape = tuple(int(k) for k in rng.integers(1, 6, size=3))
+        ref.integers(1, 6, size=3)
+        assert np.array_equal(_unit_box(rng.random(shape)), ref.uniform(-1.0, 1.0, size=shape))
+        assert _unit_box(rng.random()) == ref.uniform(-1.0, 1.0)
+        assert rng.normal() == ref.normal()
+
+
 HASH_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
 
@@ -315,6 +329,34 @@ def test_stacked_sym_tensor_and_trace_split_match_per_item_calls():
                 assert residual.reshape(-1)[k] == r1
                 assert norm.reshape(-1)[k] == item.norm_sq()
                 assert f.norm_sq().reshape(-1)[k] == f1.norm_sq()
+
+
+def _lone_sums(arr, item_ndim):
+    """One ``np.add.reduce`` per item, each item a view in the stack's layout."""
+    lead = arr.shape[: arr.ndim - item_ndim]
+    return np.array([np.add.reduce(arr[idx], axis=None) for idx in np.ndindex(*lead)])
+
+
+def test_item_sums_equal_one_reduction_per_item():
+    # The layouts the trace split reduces: C-contiguous draws, and the
+    # stack-interleaved entries that SymTensor3's index gather produces.
+    # Rows in C index order instead of each item's memory order fail here.
+    rng = np.random.default_rng(52)
+    for lead in ((1,), (7,), (250,), (3, 4)):
+        for n in range(2, 6):
+            for p in range(1, 4):
+                raw = rng.uniform(-1.0, 1.0, size=lead + (p, n, n, n))
+                t = SymTensor3(n, p, raw)
+                f, hvec, _ = f_tensor_decompose(t)
+                if lead != (1,):
+                    assert not t.entries.flags.c_contiguous
+                for arr, k in ((raw, 4), (t.entries * t.entries, 4),
+                               (f.entries * f.entries, 4), (hvec * hvec, 2)):
+                    sums = _item_sums(arr, k)
+                    assert sums.shape == lead
+                    assert np.array_equal(sums.reshape(-1), _lone_sums(arr, k))
+                item = t.entries[(0,) * len(lead)]
+                assert _item_sums(item, 4) == np.add.reduce(item, axis=None)
 
 
 def test_sym_tensor_rejects_a_mismatched_shape():
