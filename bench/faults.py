@@ -7,7 +7,11 @@ the command list. Prints one JSON line with, per pass, its wall
 seconds, its minor page faults (the ``ru_minflt`` delta over the pass),
 ``ru_maxrss`` after it, in MiB, and each command that raised
 ``ru_maxrss`` with the rise in MiB (``maxrss_steps``), so a climb of the
-high-water mark names its command. Pin BLAS threads as perfbench does.
+high-water mark names its command. After the timed passes one more pass
+runs under ``tracemalloc`` and records each command's traced peak in
+MiB (``traced``, ``traced_peak_mb``): what the command itself
+allocates, which ``ru_maxrss`` mixes with the heap layout it inherits.
+Pin BLAS threads as perfbench does.
 From the root of a checkout, with its ``src`` on ``PYTHONPATH``:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/faults.py \\
@@ -25,6 +29,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -54,6 +59,25 @@ def run_pass(main, commands: list[list[str]]) -> list[dict]:
     return steps
 
 
+def traced_pass(main, commands: list[list[str]]) -> list[dict]:
+    """Run the commands with their output discarded, each under ``tracemalloc``.
+
+    Returns every command with its traced peak in MiB, in order.
+    """
+    peaks = []
+    for argv in commands:
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append({"command": " ".join(argv), "traced_peak_mb": peak / 2**20})
+    return peaks
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
@@ -73,7 +97,9 @@ def main(argv=None) -> int:
         usage = resource.getrusage(resource.RUSAGE_SELF)
         passes.append({"s": seconds, "minflt": usage.ru_minflt - before,
                        "maxrss_mb": usage.ru_maxrss / 1024.0, "maxrss_steps": steps})
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": passes}))
+    traced = traced_pass(cli.main, commands)
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": passes,
+                      "traced": traced}))
     return 0
 
 

@@ -21,7 +21,8 @@ both commits and the environment lines perfbench printed. Optional
 traced runs (``--traced-runs``, seeds after the untraced ones) add the
 per-layer medians of each side. ``--fault-passes N`` adds one
 ``bench/faults.py`` run of N passes per side and workload: the minor
-page faults and seconds of each pass, summarized the same way.
+page faults and seconds of each pass, summarized the same way, and each
+command's traced peak from the run's final traced pass.
 
 ``--cli "ARGS"`` times whole CLI runs, ``python3 -m willmorelab.cli
 ARGS`` with one BLAS thread, ``--repeats`` alternating pairs of them:
@@ -112,8 +113,8 @@ def _one_thread_env(checkout: Path) -> dict:
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
-def _faults(checkout: Path, workload: str, seed: int, passes: int) -> list[dict]:
-    """Per-pass minor faults and seconds of one in-process ``bench/faults.py`` run."""
+def _faults(checkout: Path, workload: str, seed: int, passes: int) -> dict:
+    """The report of one in-process ``bench/faults.py`` run."""
     argv = [sys.executable, str(ROOT / "bench" / "faults.py"), "--workload", workload,
             "--seed", str(seed), "--passes", str(passes)]
     done = subprocess.run(argv, cwd=checkout, env=_one_thread_env(checkout),
@@ -121,7 +122,7 @@ def _faults(checkout: Path, workload: str, seed: int, passes: int) -> list[dict]
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv[1:])} in {checkout} exited "
                          f"{done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout)["passes"]
+    return json.loads(done.stdout)
 
 
 def _values(result: dict) -> dict:
@@ -165,12 +166,17 @@ def record_workload(checkouts: dict, workload: str, seeds: list[int], seconds: i
 
 
 def record_faults(checkouts: dict, workload: str, seed: int, passes: int) -> dict:
-    """One ``bench/faults.py`` run per side: per-pass minor faults and seconds."""
+    """One ``bench/faults.py`` run per side.
+
+    Per-pass minor faults and seconds, and each command's traced peak.
+    """
     entry = {"seed": seed, "passes": passes}
     for side in SIDES:
-        runs = _faults(checkouts[side], workload, seed, passes)
+        report = _faults(checkouts[side], workload, seed, passes)
+        runs = report["passes"]
         entry[side] = {"minflt": summary([run["minflt"] for run in runs]),
-                       "s": summary([run["s"] for run in runs]), "runs": runs}
+                       "s": summary([run["s"] for run in runs]), "runs": runs,
+                       "traced": report["traced"]}
     return entry
 
 

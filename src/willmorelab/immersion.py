@@ -42,9 +42,11 @@ frame, and h_ij as ambient normal vectors):
   follows the chunk, not the nodes or the jets of the grid;
   :func:`laplace_beltrami` and :func:`grid_gradient_pairing` write the
   chunks into per-node fields allocated once (``_integrand_fields``).
-  The Laplacian's stencil (``_grid_laplacian``) then sweeps blocks of
-  grid rows, so its temporaries follow the block and only its result
-  is node-sized.
+  The Laplacian's stencil (``_grid_laplacian``) sweeps blocks of grid
+  rows and asks its caller for f, sqrt g and g^{-1} one block of rows
+  at a time, so its temporaries follow the block. The surface residual
+  computes those rows with :func:`shape_batch` as the sweep asks for
+  them, so there only the result is node-sized.
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -627,10 +629,12 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
             rho_sq, sqrt_g, coef = _rho_sq_chunk(*jets, work)
         except RankError as exc:
             raise RankError(start + exc.index % c, exc.smin) from None
-        # The chunk's jets are freed before the caller's turn, so two
-        # chunks' jets are never held at once.
+        # The chunk's jets are freed before the caller's turn and its
+        # fields before the next chunk's jets are taken, so no two chunks'
+        # arrays are held here at once.
         del jets
         yield start, stop, live, rho_sq.reshape(-1, c), sqrt_g.reshape(-1, c), coef
+        del rho_sq, sqrt_g, coef
         start = stop
 
 
@@ -704,52 +708,46 @@ def _block_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return _periodic_partial(values[1:-1], axis, h)
 
 
-def _grid_laplacian(
-    patch: ImmersionPatch,
-    f: np.ndarray,
-    ginv_rows: Callable[[np.ndarray], np.ndarray],
-    sqrt_g: np.ndarray,
-    grid: QuadratureGrid,
-) -> np.ndarray:
-    """Laplace-Beltrami of a grid function from the metric fields at the nodes.
+def _grid_laplacian(patch: ImmersionPatch, fields_of, grid: QuadratureGrid):
+    """Laplace-Beltrami of a grid function, swept over blocks of grid rows.
 
-    ``ginv_rows(rows)`` returns g^{-1} on the grid rows ``rows`` (indices
-    along axis 0), shaped (len(rows),) + grid.shape[1:] + (n, n), and
-    ``sqrt_g`` is (M,), in the row-major node order of the grid. sqrt g
-    takes the fold sign of the patch, so on a doubled chart the flux
-    stays smooth across the fold instead of following the kink of
-    |sqrt g|.
+    ``fields_of(start, stop)`` returns fields on the grid rows
+    start..stop-1 (indices along axis 0, 0 <= start < stop <= count),
+    each shaped (stop - start,) + grid.shape[1:] + its own trailing axes,
+    led by f, sqrt g and g^{-1} (trailing n x n); further fields ride
+    along. sqrt g takes the fold sign of the patch, so on a doubled
+    chart the flux stays smooth across the fold instead of following
+    the kink of |sqrt g|.
 
-    The stencil sweeps blocks of rows along axis 0, about
-    ``_chunk_points(patch)`` nodes and at least ``_BLOCK_ROWS_MIN`` rows
-    each. A block reads f with a two-row periodic halo and the metric
-    with a one-row halo, and runs the elementwise operations of the
-    whole-array stencil in their order, so it gives the same bits while
-    its temporaries follow the block; only the result is node-sized.
-    A block's first two metric rows are the last two of the block before
-    it and are reused, so ``ginv_rows`` is asked for every row once,
-    apart from the two rows where the sweep wraps around.
+    Yields (start, stop, lap, fields) per block of about
+    ``_chunk_points(patch)`` nodes and at least ``_BLOCK_ROWS_MIN`` rows:
+    the Laplacian and the fields on rows start..stop-1. A block reads f
+    with a two-row periodic halo and the metric with a one-row halo, and
+    runs the elementwise operations of the whole-array stencil in their
+    order, so it gives the same bits while every array it holds follows
+    the block. A block keeps the four rows it shares with the one before
+    it, so ``fields_of`` is asked for every row once, apart from the four
+    rows where the sweep wraps around.
     """
     n = grid.ndim
     count = grid.counts[0]
-    sg_all = sqrt_g.reshape(grid.shape)
     spacings = [grid.spacing(a) for a in range(n)]
     block = max(_BLOCK_ROWS_MIN, _chunk_points(patch) * count // grid.node_total)
-    out = np.empty(grid.shape)
-    halo = None
+    window = []
     for start in range(0, count, block):
         stop = min(start + block, count)
-        rows = np.arange(start - 2, stop + 2) % count
-        inner = rows[1:-1]
-        if halo is None:
-            ginv = ginv_rows(inner)
-        else:
-            ginv = np.concatenate([halo, ginv_rows(inner[2:])])
-        halo = ginv[-2:].copy()
-        sg = sg_all[inner]
+        # The window holds rows start-2..stop+1 modulo count; new rows are
+        # asked for in runs that do not wrap.
+        rows = np.arange(start + 2 if window else start - 2, stop + 2) % count
+        runs = np.split(rows, np.flatnonzero(np.diff(rows) < 0) + 1)
+        pieces = [[field[-4:] for field in window]] if window else []
+        pieces += [fields_of(run[0], run[-1] + 1) for run in runs]
+        window = [np.concatenate(field) for field in zip(*pieces)]
+        del pieces
+        values, sg, ginv = window[0], window[1][1:-1], window[2][1:-1]
         if patch.fold_axes:
+            inner = np.arange(start - 1, stop + 1) % count
             sg = sg * _fold_sign(patch, np.ix_(grid.nodes_1d[0][inner], *grid.nodes_1d[1:]))
-        values = f[rows]
         partials = [_block_partial(values, a, spacings[a]) for a in range(n)]
         # Every flux before any divergence, so the partials are freed first,
         # each flux summed in place in the order of sg * sum_b g^{ab} d_b f.
@@ -760,12 +758,13 @@ def _grid_laplacian(
                 flux += ginv[..., a, b] * partials[b]
             flux *= sg
             fluxes.append(flux)
-        del values, partials, ginv
-        div = np.zeros_like(out[start:stop])
+        del partials
+        div = np.zeros_like(values[2:-2])
         for a in range(n):
             div = div + _block_partial(fluxes[a], a, spacings[a])
-        np.divide(div, sg[1:-1], out=out[start:stop])
-    return out
+        del fluxes
+        div /= sg[1:-1]
+        yield start, stop, div, [field[2:-2] for field in window]
 
 
 def _require_periodic_grid(patch: ImmersionPatch, grid: QuadratureGrid) -> None:
@@ -794,16 +793,21 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     0.076, 0.019 and 0.0048 at 32, 64 and 128 nodes per axis.
 
     sqrt g and g^{-1} are gathered once per node; the row-blocked
-    stencil reads slices of them, so its own temporaries follow a block
-    of rows.
+    stencil reads row views of them, so its own temporaries follow a
+    block of rows.
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
     _, sqrt_g, ginv = _integrand_fields(patch, grid)
+    sqrt_g = sqrt_g.reshape(grid.shape)
     ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
-    return _grid_laplacian(patch, values, lambda rows: ginv[rows], sqrt_g, grid)
+    out = np.empty(grid.shape)
+    rows = lambda start, stop: (values[start:stop], sqrt_g[start:stop], ginv[start:stop])
+    for start, stop, lap, _ in _grid_laplacian(patch, rows, grid):
+        out[start:stop] = lap
+    return out
 
 
 def grid_gradient_pairing(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -182,10 +183,13 @@ def _chunked_integral(
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
     rows = 1 if fractions is None else len(fractions)
-    densities = (
-        (start, live, integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop))
-        for start, stop, live, rho_sq, sqrt_g, _ in _integrand_chunks(patch, grid, fractions)
-    )
+
+    def density(start, stop, live, rho_sq, sqrt_g, _):
+        return start, live, integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop)
+
+    # starmap keeps no chunk past its density, unlike a loop variable, so
+    # a chunk's fields are freed before the next chunk is taken.
+    densities = starmap(density, _integrand_chunks(patch, grid, fractions))
     sums = _pairwise_sums(densities, rows, grid.node_total, _chunk_points(patch) // rows)
     return [None if s is None else s / patch.cover_multiplicity for s in sums]
 
@@ -342,49 +346,61 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
 
     Needs n = 2 and codimension 1 (so the normal Laplacian collapses to
     the scalar Laplace-Beltrami of the signed mean curvature) and a
-    fully periodic chart for the discrete Laplacian. The metric is kept
-    as its upper triangle, g_00, g_01 and g_11 per node (it is symmetric
-    bit for bit), and the row-blocked Laplacian inverts each block's
-    rows as it reads them; each 2 x 2 is inverted on its own, so the
-    bits are those of inverting every node at once.
+    fully periodic chart for the discrete Laplacian. The signed mean
+    curvature needs the oriented normal of :func:`shape_batch`, run on
+    the rows the row-blocked Laplacian asks for, in pieces of at most
+    ``_chunk_points(patch)`` nodes sliced from ``grid.points()``; each
+    piece's 2 x 2 metrics are inverted on their own, so the bits are
+    those of inverting every node at once. H (S - 2 H^2) is added per
+    block, so H, S, sqrt g and g^{-1} follow the block and only the
+    result is node-sized. A rank error names the node's flat index, also
+    in a halo row.
     """
     if patch.n != 2:
         raise ValueError("surface residual needs a 2-dimensional patch")
     if patch.p != 1:
         raise ValueError("surface residual needs codimension 1")
     _require_periodic_grid(patch, grid)
-    # The signed mean curvature needs the oriented normal of shape_batch,
-    # taken in chunks that keep only the fields the residual reads.
     pts = grid.points()
-    m = len(pts)
-    h_signed, s_field, sqrt_g = np.empty(m), np.empty(m), np.empty(m)
-    metric = np.empty((m, 3))
+    row = grid.node_total // grid.counts[0]
     size = _chunk_points(patch)
-    for start in range(0, m, size):
-        chunk = slice(start, start + size)
-        try:
-            batch = shape_batch(patch, pts[chunk])
-        except RankError as exc:
-            raise RankError(start + exc.index, exc.smin) from None
-        h_signed[chunk] = batch.mean_vector[:, 0]
-        s_field[chunk] = batch.S
-        sqrt_g[chunk] = batch.sqrt_g
-        metric[chunk] = batch.metric[:, (0, 0, 1), (0, 1, 1)]
-    h_signed = h_signed.reshape(grid.shape)
-    metric = metric.reshape(grid.shape + (3,))
+    # The last batch stays alive until the next one is taken, also from
+    # one block to the next, so the allocator keeps reusing the pages of
+    # a batch's temporaries instead of trimming the heap after each
+    # block and faulting them in again.
+    last_batch = [None]
 
-    def ginv_rows(rows):
-        return np.linalg.inv(metric[rows][..., (0, 1, 1, 2)].reshape(len(rows), -1, 2, 2))
+    def rows(start, stop):
+        lo, hi = start * row, stop * row
+        h_signed, s_field, sqrt_g = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
+        ginv = np.empty((hi - lo, 2, 2))
+        for first in range(lo, hi, size):
+            last = min(first + size, hi)
+            try:
+                batch = last_batch[0] = shape_batch(patch, pts[first:last])
+            except RankError as exc:
+                raise RankError(first + exc.index, exc.smin) from None
+            piece = slice(first - lo, last - lo)
+            h_signed[piece] = batch.mean_vector[:, 0]
+            s_field[piece] = batch.S
+            sqrt_g[piece] = batch.sqrt_g
+            ginv[piece] = np.linalg.inv(batch.metric)
+        shape = (stop - start,) + grid.shape[1:]
+        return (h_signed.reshape(shape), sqrt_g.reshape(shape),
+                ginv.reshape(shape + (2, 2)), s_field.reshape(shape))
 
-    lap = _grid_laplacian(patch, h_signed, ginv_rows, sqrt_g, grid)
-    del metric, sqrt_g
-    # lap + H (S - 2 H^2), one operation at a time in place.
-    values = np.square(h_signed)
-    values *= 2.0
-    np.subtract(s_field.reshape(grid.shape), values, out=values)
-    values *= h_signed
-    values += lap
-    return SurfaceResidual(values=values, max_norm=float(np.max(np.abs(values))))
+    values = np.empty(grid.shape)
+    peaks = []
+    for start, stop, lap, (h_signed, _, _, s_field) in _grid_laplacian(patch, rows, grid):
+        # lap + H (S - 2 H^2), one operation at a time in place.
+        block = values[start:stop]
+        np.square(h_signed, out=block)
+        block *= 2.0
+        np.subtract(s_field, block, out=block)
+        block *= h_signed
+        block += lap
+        peaks.append(np.max(np.abs(block)))
+    return SurfaceResidual(values=values, max_norm=float(np.max(peaks)))
 
 
 TOTALLY_UMBILIC = "totally-umbilic"

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "faults.py"
 _SPEC = importlib.util.spec_from_file_location("bench_faults", _PATH)
@@ -39,3 +42,24 @@ def test_main_reports_the_maxrss_steps_of_every_pass(monkeypatch, capsys):
         [{"command": "catalog", "rise_mb": 0.5}],
     ]
     assert all(run["minflt"] >= 0 and run["s"] > 0 for run in report["passes"])
+    assert [peak["command"] for peak in report["traced"]] == ["catalog", "catalog"]
+    assert all(peak["traced_peak_mb"] > 0 for peak in report["traced"])
+
+
+def test_traced_pass_reports_the_traced_peak_of_each_command():
+    # "big" holds a 3 MiB array while it runs and "small" a 64 KiB one;
+    # each peak is that command's own, not the larger one before it.
+    ran = []
+
+    def fake_main(argv):
+        ran.append(argv)
+        print("output that the pass discards")
+        size = {"big": 3 * 2**20, "small": 2**16}[argv[0]]
+        np.ones(size // 8).sum()
+
+    peaks = faults.traced_pass(fake_main, [["big", "--x", "1"], ["small"]])
+    assert ran == [["big", "--x", "1"], ["small"]]
+    assert [peak["command"] for peak in peaks] == ["big --x 1", "small"]
+    assert 3.0 <= peaks[0]["traced_peak_mb"] < 3.1
+    assert 2**16 / 2**20 <= peaks[1]["traced_peak_mb"] < 0.1
+    assert not tracemalloc.is_tracing()

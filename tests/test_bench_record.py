@@ -88,8 +88,10 @@ def test_record_faults_runs_each_side_once(monkeypatch):
     def fake_faults(checkout, workload, seed, passes):
         calls.append((checkout.name, workload, seed, passes))
         faults = 0 if checkout.name == "parent" else 4000
-        return [{"s": 2.0 + i / 100, "minflt": faults + i, "maxrss_mb": 40.0}
+        runs = [{"s": 2.0 + i / 100, "minflt": faults + i, "maxrss_mb": 40.0}
                 for i in range(passes)]
+        traced = [{"command": "catalog", "traced_peak_mb": 0.5 + faults / 1000}]
+        return {"workload": workload, "seed": seed, "passes": runs, "traced": traced}
 
     monkeypatch.setattr(record, "_faults", fake_faults)
     checkouts = {"parent": Path("parent"), "change": Path("change")}
@@ -99,6 +101,8 @@ def test_record_faults_runs_each_side_once(monkeypatch):
     assert entry["parent"]["minflt"]["median"] == 1
     assert entry["change"]["minflt"]["median"] == 4001
     assert len(entry["change"]["runs"]) == 3
+    assert entry["parent"]["traced"] == [{"command": "catalog", "traced_peak_mb": 0.5}]
+    assert entry["change"]["traced"] == [{"command": "catalog", "traced_peak_mb": 4.5}]
 
 
 def test_time_cli_reports_wall_time_peak_rss_and_output():

@@ -397,7 +397,7 @@ def test_surface_residual_equals_the_whole_array_stencil_bit_for_bit(ident, res,
 
 
 def test_shape_batch_metric_is_symmetric_bit_for_bit():
-    # The surface residual stores only the upper triangle of the metric.
+    # The metric is a Gram matrix of the first jet, symmetric bit for bit.
     rng = np.random.default_rng(18)
     for patch in _catalog_patches():
         pts = sample_safe_points(patch, rng, 64)
