@@ -29,11 +29,11 @@ _WEIGHT_SUM_TOL = 1e-12
 # count companion matrix (128 MiB here, several seconds of eigensolve),
 # so a larger count is refused before it is built.
 GAUSS_LEGENDRE_MAX = 4096
-# Largest grid: points() builds an n-column node array, laplace_beltrami
-# gathers per-node metric fields, and a Laplacian or surface residual
-# returns a node-sized result (128 MiB per double a node here), so a
-# larger product of counts is refused from the counts alone. Quadratures
-# and the residual's fields follow a chunk or a block of grid rows.
+# Largest grid: points() builds an n-column node array, and a Laplacian
+# or surface residual returns a node-sized result (128 MiB per double a
+# node here), so a larger product of counts is refused from the counts
+# alone. Quadratures follow a chunk, and the metric fields of both
+# stencils a block of grid rows.
 GRID_NODE_MAX = 2**24
 
 

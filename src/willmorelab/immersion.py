@@ -39,14 +39,12 @@ frame, and h_ij as ambient normal vectors):
   buffers allocated once per walk, or over the spent second jet. The
   energy, pinching, grid and conformal integrals stream each chunk
   into ``np.sum``'s pairwise tree, one per image, so their memory
-  follows the chunk, not the nodes or the jets of the grid;
-  :func:`laplace_beltrami` and :func:`grid_gradient_pairing` write the
-  chunks into per-node fields allocated once (``_integrand_fields``).
-  The Laplacian's stencil (``_grid_laplacian``) sweeps blocks of grid
-  rows and asks its caller for f, sqrt g and g^{-1} one block of rows
-  at a time, so its temporaries follow the block. The surface residual
-  computes those rows with :func:`shape_batch` as the sweep asks for
-  them, so there only the result is node-sized.
+  follows the chunk, not the nodes or the jets of the grid. The
+  Laplacian's stencil (``_grid_laplacian``) sweeps blocks of grid rows
+  and asks its caller for f, sqrt g and g^{-1} one block of rows at a
+  time, so its temporaries follow the block; :func:`laplace_beltrami`
+  computes those rows with ``_integrand_fields`` and the surface
+  residual with :func:`shape_batch`, so only their result is node-sized.
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -58,7 +56,8 @@ exact-jet path like any catalog chart. Given K fractions,
 ``_integrand_chunks`` walks the K images together: per chunk the source
 jets are taken once, each map takes one product against them, and
 ``_rho_sq_chunk`` runs once over the stacked (map, node) points, so
-every image gets the bits a walk of its own would give.
+every image gets the bits a walk of its own would give. An image that
+passes the pointwise pole guard is flagged and walked to the end.
 
 Evaluators and jets must broadcast over leading axes: input (..., n),
 output (..., ambient_dim). All catalog charts and their conformal images
@@ -575,23 +574,24 @@ def _rho_sq_chunk(x, first, second, work):
 
 
 def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
-    """Yield (start, stop, live, rho^2, sqrt g, coef) per chunk, without frames.
+    """Yield (start, stop, grazing, rho^2, sqrt g, coef) per chunk, without frames.
 
     The one grid walk of the kernel :func:`_rho_sq_chunk`. Without
-    ``fractions`` it walks ``patch``, and ``live`` is [0]. With K linear
-    fractions (:func:`_linear_fraction`) it walks the K images in
-    lockstep: per chunk the source jets are taken once and
-    :func:`_mobius_jets` maps them through every live fraction. ``live``
-    holds the fractions still in the walk; one whose image passes the
-    pointwise pole guard of :func:`mobius_apply` at a node leaves before
-    the kernel sees its values, and the walk stops when none is left.
-    The coarse pole check is the caller's. Images need exact jets.
+    ``fractions`` it walks ``patch``. With K linear fractions
+    (:func:`_linear_fraction`) it walks the K images in lockstep: per
+    chunk the source jets are taken once and :func:`_mobius_jets` maps
+    them through every fraction; an empty list walks nothing.
+    ``grazing`` flags each image from the first chunk on in which it
+    passes the pointwise pole guard of :func:`mobius_apply`. Such an
+    image stays to the last node, as the fraction's denominator is
+    positive on the whole sphere. The coarse pole check is the caller's.
+    Images need exact jets.
 
-    rho^2 and sqrt g hold one row per live image, bit for bit those of
-    a walk of its own, and ``coef`` is R^{-1} of :func:`_second_form`
+    rho^2 and sqrt g hold one row per image, bit for bit those of a
+    walk of its own, and ``coef`` is R^{-1} of :func:`_second_form`
     over the stacked (image, node) points, so g^{-1} = coef^T coef. A
-    chunk holds ``_chunk_points(patch) // len(live)`` nodes and one set
-    of :func:`_work_buffers` serves every chunk, so memory follows the
+    chunk holds ``_chunk_points(patch) // K`` nodes and one set of
+    :func:`_work_buffers` serves every chunk, so memory follows the
     chunk. No normal frame or sign gauge is built; the guards are those
     of :func:`shape_batch`, and a rank error names the node. Patches
     without exact jets are differenced with step ``FD_STEP``. The
@@ -609,21 +609,19 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
     else:
         pts = _chart_points(patch, nodes, FD_STEP)
         m, take = len(pts), lambda start, stop: pts[start:stop]
-    live = np.arange(1 if fractions is None else len(fractions))
+    images = 1 if fractions is None else len(fractions)
+    if not images:
+        return
     size = _chunk_points(patch)
-    work = _work_buffers(min(size, live.size * m), patch.n, patch.ambient_dim)
-    start = 0
-    while live.size and start < m:
-        stop = min(start + size // live.size, m)
+    work = _work_buffers(min(size, images * m), patch.n, patch.ambient_dim)
+    grazing = np.zeros(images, dtype=bool)
+    for start in range(0, m, size // images):
+        stop = min(start + size // images, m)
         c = stop - start
         jets = _jets(patch, take(start, stop), FD_STEP)
         if fractions is not None:
-            align, *jets = _mobius_jets(*jets, [fractions[k] for k in live])
-            safe = ~(np.max(align, axis=1) > 1.0 - _POLE_GUARD)
-            if not safe.all():
-                live, jets = live[safe], [j[safe] for j in jets]
-                if not live.size:
-                    return
+            align, *jets = _mobius_jets(*jets, fractions)
+            grazing = grazing | (np.max(align, axis=1) > 1.0 - _POLE_GUARD)
             jets = [j.reshape((-1,) + j.shape[2:]) for j in jets]
         try:
             rho_sq, sqrt_g, coef = _rho_sq_chunk(*jets, work)
@@ -633,18 +631,16 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
         # fields before the next chunk's jets are taken, so no two chunks'
         # arrays are held here at once.
         del jets
-        yield start, stop, live, rho_sq.reshape(-1, c), sqrt_g.reshape(-1, c), coef
+        yield start, stop, grazing, rho_sq.reshape(-1, c), sqrt_g.reshape(-1, c), coef
         del rho_sq, sqrt_g, coef
-        start = stop
 
 
 def _integrand_fields(patch: ImmersionPatch, nodes):
     """Per-point (rho^2, sqrt g, g^{-1}) over all of ``nodes``.
 
     The chunks of :func:`_integrand_chunks`, written into whole arrays
-    for the grid operators that need every node at once: one scalar
-    pair and one n x n matrix per point. The arrays are allocated once,
-    so no chunk is held twice.
+    for the grid operators: one scalar pair and one n x n matrix per
+    point. The arrays are allocated once, so no chunk is held twice.
     """
     m = nodes.node_total if isinstance(nodes, QuadratureGrid) else len(np.atleast_2d(nodes))
     n = patch.n
@@ -792,19 +788,25 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     O(h^2); on ``round_sphere(2, 1, 0.8)`` with f = x_0 the gap is
     0.076, 0.019 and 0.0048 at 32, 64 and 128 nodes per axis.
 
-    sqrt g and g^{-1} are gathered once per node; the row-blocked
-    stencil reads row views of them, so its own temporaries follow a
-    block of rows.
+    sqrt g and g^{-1} are taken by :func:`_integrand_fields` on the rows
+    the row-blocked stencil asks for, so only the result is node-sized;
+    a rank error names the node's flat index in the grid.
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid)
-    sqrt_g = sqrt_g.reshape(grid.shape)
-    ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
+    row = grid.node_total // grid.counts[0]
+
+    def rows(start, stop):
+        try:
+            _, sqrt_g, ginv = _integrand_fields(patch, grid.nodes(start * row, stop * row))
+        except RankError as exc:
+            raise RankError(start * row + exc.index, exc.smin) from None
+        shape = (stop - start,) + grid.shape[1:]
+        return values[start:stop], sqrt_g.reshape(shape), ginv.reshape(shape + ginv.shape[1:])
+
     out = np.empty(grid.shape)
-    rows = lambda start, stop: (values[start:stop], sqrt_g[start:stop], ginv[start:stop])
     for start, stop, lap, _ in _grid_laplacian(patch, rows, grid):
         out[start:stop] = lap
     return out

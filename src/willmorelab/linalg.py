@@ -1,6 +1,6 @@
 """Dense kernels for the small symmetric matrices used everywhere else.
 
-Shape operators, normal-space Gram matrices and chart frames all live in
+Shape operators, normal-space Gram matrices and chart frames all sit in
 dimension <= ~10, so everything here is a plain dense computation on top
 of numpy. Values are frozen after construction and every function is
 pure, which keeps the randomized property suites trivially parallel.

@@ -124,34 +124,29 @@ def _pairwise_plan(total: int, block: int):
             todo += (0, n - half, half)
 
 
-def _pairwise_sums(chunks, rows: int, total: int, block: int) -> list[Optional[float]]:
+def _pairwise_sums(chunks, rows: int, total: int, block: int) -> np.ndarray:
     """``np.sum`` of each of ``rows`` rows of ``total`` values, streamed.
 
-    ``chunks`` yields (start, live, values): ``values[i]`` holds the
-    values of flat indices [start, start + values.shape[1]) of row
-    ``live[i]``, in order of ``start``, and a row may leave the stream
-    but never joins it. Each row's sum equals ``np.sum`` over the whole
-    row bit for bit (:func:`_pairwise_plan`). Only one leaf is buffered,
-    (rows, leaf) values, plus one sum per level of the tree, so memory
-    follows ``block``, not ``total``. A row not live at the last index,
-    or every row if the stream ends early, gets None.
+    ``chunks`` yields (start, values), ``values`` holding flat indices
+    [start, start + values.shape[1]) of every row, in order of ``start``.
+    Each row's sum equals ``np.sum`` over the whole row bit for bit
+    (:func:`_pairwise_plan`). Only one leaf is buffered, (rows, leaf)
+    values, plus one sum per level of the tree, so memory follows
+    ``block``, not ``total``.
     """
     plan = _pairwise_plan(total, block)
     length = next(plan)
     buf = np.zeros((rows, min(total, max(block, _PAIRWISE_LEAF))))
     stack: list[np.ndarray] = []
     lo = 0  # first flat index of the leaf being filled
-    live = ()
-    for start, live, values in chunks:
-        index = slice(None) if len(live) == rows else live  # a slice copies faster
+    for start, values in chunks:
         stop = start + values.shape[1]
         pos = start
         while pos < stop:
             end = min(stop, lo + length)
-            buf[index, pos - lo : end - lo] = values[:, pos - start : end - start]
+            buf[:, pos - lo : end - lo] = values[:, pos - start : end - start]
             pos = end
             if pos == lo + length:
-                # Rows that left keep their earlier values; their sums are dropped.
                 stack.append(np.add.reduce(buf[:, :length], axis=-1))  # = np.sum
                 lo += length
                 for length in plan:
@@ -159,11 +154,8 @@ def _pairwise_sums(chunks, rows: int, total: int, block: int) -> list[Optional[f
                         break
                     right = stack.pop()
                     stack[-1] = stack[-1] + right
-    if lo < total:
-        return [None] * rows
     (sums,) = stack
-    done = set(int(k) for k in live)
-    return [float(sums[k]) if k in done else None for k in range(rows)]
+    return sums
 
 
 def _chunked_integral(
@@ -173,8 +165,8 @@ def _chunked_integral(
 
     One value for the patch itself, or one per linear fraction of
     ``fractions``, walked together (``immersion._integrand_chunks``);
-    None for an image that left the walk at the pole guard. The kernel's
-    fields arrive one chunk at a time, one row per live image, ``chunk``
+    None for an image the walk flagged at the pole guard. The kernel's
+    fields arrive one chunk at a time, one row per image, ``chunk``
     being the slice of flat node indices they belong to; f sqrt g times
     the chunk's weights is streamed into :func:`_pairwise_sums`, which
     gives each image the bits of ``np.sum`` over one node-sized density
@@ -183,15 +175,18 @@ def _chunked_integral(
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
     rows = 1 if fractions is None else len(fractions)
+    grazed = ()
 
-    def density(start, stop, live, rho_sq, sqrt_g, _):
-        return start, live, integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop)
+    def density(start, stop, grazing, rho_sq, sqrt_g, _):
+        nonlocal grazed
+        grazed = grazing  # the walk's flags only ever turn on, so the last hold them all
+        return start, integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop)
 
     # starmap keeps no chunk past its density, unlike a loop variable, so
     # a chunk's fields are freed before the next chunk is taken.
     densities = starmap(density, _integrand_chunks(patch, grid, fractions))
     sums = _pairwise_sums(densities, rows, grid.node_total, _chunk_points(patch) // rows)
-    return [None if s is None else s / patch.cover_multiplicity for s in sums]
+    return [None if g else float(s) / patch.cover_multiplicity for s, g in zip(sums, grazed)]
 
 
 def willmore_energy(patch: ImmersionPatch, grid: QuadratureGrid) -> float:
@@ -216,7 +211,8 @@ def mobius_energies(
     the coarse clearance check of ``mobius_apply`` is the caller's. The
     maps are walked in groups, each group in one pass over the grid by
     the reduction of :func:`willmore_energy`, which streams each map's
-    densities into its own pairwise sum. A group holds at most
+    densities into its own pairwise sum; a map that grazes the pole is
+    walked to the end and dropped there. A group holds at most
     ``_chunk_points(patch)`` maps, so that every map gets at least one
     node per chunk; memory follows the chunk, not the number of maps or
     of nodes. Needs a patch with exact jets.

@@ -408,11 +408,12 @@ def test_shape_batch_metric_is_symmetric_bit_for_bit():
 
 
 def test_laplace_beltrami_memory_follows_the_block_not_the_grid():
-    # Peak allocation grows by the gathered fields and the result: rho^2,
-    # sqrt g and four g^{-1} entries per node (6 doubles measured; the
-    # result is written after the gather's chunk is freed). The stencil's
-    # rolls, partials and fluxes follow its row block. Gathering by
-    # concatenation and a whole-array stencil measured 9.7.
+    # Peak allocation grows by the result (one double per node) and by
+    # the row block, which is 16 rows at both sizes, so twice as many
+    # nodes at 256^2: 2.0 doubles per node measured. sqrt g and g^{-1}
+    # are taken per block of rows, as are the stencil's rolls, partials
+    # and fluxes. Gathering rho^2, sqrt g and g^{-1} for every node first
+    # measured 6.0, and by concatenation with a whole-array stencil 9.7.
     patch = _flat_patch()
     peaks = []
     for res in (128, 256):
@@ -425,7 +426,25 @@ def test_laplace_beltrami_memory_follows_the_block_not_the_grid():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 8 * 8 * (256**2 - 128**2)
+    assert peaks[1] - peaks[0] < 3 * 8 * (256**2 - 128**2)
+
+
+def test_laplace_beltrami_reports_the_global_point_index():
+    # A node in the second block of rows, and a node in the last grid
+    # row, which the first block reads as its halo.
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 64)
+    f = np.sin(grid.points()[:, 0]).reshape(grid.shape)
+    for bad in (_chunk_points(patch) + 3, grid.node_total - 60):
+        theta = grid.points()[bad]
+
+        def poisoned(t):
+            x, first, second = patch.exact_jet(t)
+            first[np.all(t == theta, axis=-1)] = 0.0
+            return x, first, second
+
+        with pytest.raises(RankError, match=f"rank deficient at point index {bad} "):
+            laplace_beltrami(replace(patch, exact_jet=poisoned), f, grid)
 
 
 def test_mobius_identity_map_is_exact():

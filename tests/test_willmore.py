@@ -412,22 +412,12 @@ def test_chunked_quadratures_equal_the_whole_array_reduction_bit_for_bit(ident, 
     assert got == _reference_integral(patch, grid, lambda r, s: f * s)
 
 
-def _density_stream(values, segment, leaves=None):
-    """(start, live, values) chunks as the grid walk yields them.
-
-    Each chunk holds ``segment * rows // len(live)`` nodes of every live
-    row, so a chunk grows when a row leaves, as in the walk. ``leaves``
-    = (row, index): that row leaves at the first chunk past the index.
-    """
-    rows, total = values.shape
-    live = np.arange(rows)
-    start = 0
-    while start < total:
-        if leaves is not None and start >= leaves[1]:
-            live = live[live != leaves[0]]
-        stop = min(start + segment * rows // len(live), total)
-        yield start, live, values[live, start:stop]
-        start = stop
+def _density_stream(values, segment):
+    """(start, values) chunks as the grid walk yields them: ``segment``
+    nodes of every row per chunk."""
+    total = values.shape[1]
+    for start in range(0, total, segment):
+        yield start, values[:, start : start + segment]
 
 
 def _spread_values(rows, total, seed):
@@ -454,27 +444,9 @@ def test_pairwise_sums_equal_np_sum_bit_for_bit(total):
             got = willmore._pairwise_sums(
                 _density_stream(values, segment), rows, total, segment
             )
-            assert got == expected, (rows, segment)
+            assert got.tolist() == expected, (rows, segment)
     if total > 2**16:
         assert float(np.cumsum(values[0])[-1]) != expected[0]  # the data tell orders apart
-
-
-def test_pairwise_sums_drop_a_row_that_leaves():
-    for total in [*range(1, 300), 5000, 9**5]:
-        values = _spread_values(3, total, total)
-        sums = [float(np.sum(row)) for row in values]
-        for segment in (1, 37, 204):
-            leaves = (1, total // 2)  # row 1 leaves halfway, if a chunk starts there
-            chunks = list(_density_stream(values, segment, leaves))
-            expected = list(sums)
-            if chunks[-1][0] >= total // 2:
-                expected[1] = None
-            assert willmore._pairwise_sums(iter(chunks), 3, total, segment) == expected
-    # A stream that stops early, as the walk does when every image has
-    # left, finishes no row.
-    values = _spread_values(2, 1000, 0)
-    stream = (chunk for chunk in _density_stream(values, 37) if chunk[0] < 500)
-    assert willmore._pairwise_sums(stream, 2, 1000, 37) == [None, None]
 
 
 def _probed(patch, seed, trials):
@@ -521,15 +493,21 @@ def test_a_map_grazing_the_pole_partway_leaves_its_group():
     patch, _ = clifford_torus(1, 2)
     grid = QuadratureGrid.for_patch(patch, 48)
     # Trial 45 passes the coarse pole check, but its image passes within
-    # the pointwise guard near node 1921 of 2304.
+    # the pointwise guard near node 1921 of 2304, in the fifth chunk of
+    # 409 nodes. The walk keeps all five images to the last node and
+    # flags map 0 from that chunk on; the reduction drops it at the end.
     maps = _probed(patch, 0, [45, 0, 1, 2, 3])
     assert len(maps) == 5
     walk = list(_integrand_chunks(patch, grid, [_linear_fraction(m) for m in maps]))
-    assert 0 in walk[0][2] and 0 not in walk[-1][2]
-    assert walk[-1][1] == grid.node_total
+    assert [stop for _, stop, *_ in walk] == [409, 818, 1227, 1636, 2045, 2304]
+    assert all(rho_sq.shape[0] == sqrt_g.shape[0] == 5 for *_, rho_sq, sqrt_g, _ in walk)
+    assert [grazing.tolist() for _, _, grazing, *_ in walk] == (
+        [[False] * 5] * 4 + [[True] + [False] * 4] * 2
+    )
     expected = [_one_walk(m, patch, grid) for m in maps]
     assert expected[0] is None and None not in expected[1:]
     assert mobius_energies(patch, grid, maps) == expected
+    assert list(_integrand_chunks(patch, grid, [])) == []  # no image, no walk
 
 
 def test_mobius_groups_split_at_the_chunk_size(monkeypatch):
@@ -597,23 +575,32 @@ def test_a_rank_error_in_a_group_names_the_node():
 
 
 def test_conformal_trials_replace_maps_that_fail_in_trial_order():
-    patch, _ = clifford_torus(1, 2)
-    grid = QuadratureGrid.for_patch(patch, 48)
-    # Trial 45 of seed 0 passes the coarse pole check and fails partway
-    # through the walk; the reference evaluates one trial after another.
-    expected = []
-    trial = 0
-    while len(expected) < 45:
-        mob = random_mobius(4, trial_rng(0, trial))
-        try:
-            expected.append((trial, willmore_energy(mobius_apply(mob, patch), grid)))
-        except PoleError:
-            pass
-        trial += 1
-    got = conformal_trials(patch, grid, 45, 0)
-    assert got == expected
-    assert 45 not in [t for t, _ in got] and got[-1][0] > 45
-    assert conformal_trials(patch, grid, 0, 0) == []
+    # These trials pass the coarse pole check and graze the pole partway
+    # through a walk: trials 18, 16 and 19 of seed 0 in the 13th, 16th
+    # and 29th of the first group's 52 chunks, and trial 45 in a group
+    # of redraws; on willmore-torus:1,3, trial 2 of seed 30 in the
+    # seventh of nine chunks. The reference evaluates one trial after
+    # another.
+    for ident, res, seed, count, grazers in (
+        ("clifford-torus:1,2", 48, 0, 45, [16, 18, 19, 45]),
+        ("willmore-torus:1,3", 12, 30, 10, [2]),
+    ):
+        patch = resolve(ident).patch
+        grid = QuadratureGrid.for_patch(patch, res)
+        assert len(_probed(patch, seed, grazers)) == len(grazers)
+        expected = []
+        trial = 0
+        while len(expected) < count:
+            mob = random_mobius(patch.ambient_dim, trial_rng(seed, trial))
+            try:
+                expected.append((trial, willmore_energy(mobius_apply(mob, patch), grid)))
+            except PoleError:
+                pass
+            trial += 1
+        got = conformal_trials(patch, grid, count, seed)
+        assert got == expected
+        assert not set(grazers) & {t for t, _ in got} and got[-1][0] > grazers[-1]
+        assert conformal_trials(patch, grid, 0, seed) == []
 
 
 def test_conformal_trials_stop_at_twenty_draws_per_map():
