@@ -22,13 +22,15 @@ caller switches between the two. Quadratures difference jet-free patches
 at ``FD_STEP``; only :func:`shape_batch` and :func:`shape_data` take a
 step, for studies of the finite-difference order.
 
-Two paths share one core, ``_second_form`` (the guards, a Gram-Schmidt
-frame, and h_ij as ambient normal vectors):
+Three paths share one core, ``_second_form`` (the guards, a
+Gram-Schmidt frame, and h_ij as ambient normal vectors):
 
-* :func:`shape_batch` adds the frames above. Only callers that need a
-  frame use it: :func:`shape_data` (the ``shape`` command and the
-  Veronese reference point) and the surface residual, whose signed mean
-  curvature needs the oriented normal in codimension 1.
+* :func:`shape_batch` adds the frames above. Only :func:`shape_data`
+  uses it (the ``shape`` command and the Veronese reference point).
+* The surface residual (``willmore._surface_fields``) takes S and the
+  mean curvature vector straight from h, and of the frames only the
+  oriented normal of ``_oriented_normals``, the one codimension-1
+  gauge, which :func:`shape_batch` uses too.
 * ``_integrand_chunks`` is the one grid walk of the frame-free kernel
   ``_rho_sq_chunk`` (h reduced to rho^2). It yields rho^2, sqrt g and
   R^{-1} one chunk at a time, for the patch or for many conformal
@@ -44,7 +46,8 @@ frame, and h_ij as ambient normal vectors):
   and asks its caller for f, sqrt g and g^{-1} one block of rows at a
   time, so its temporaries follow the block; :func:`laplace_beltrami`
   computes those rows with ``_integrand_fields`` and the surface
-  residual with :func:`shape_batch`, so only their result is node-sized.
+  residual with ``_second_form`` and its R^{-1}, so only their result is
+  node-sized.
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -344,7 +347,8 @@ def _complete_normals(basis: np.ndarray, p: int) -> np.ndarray:
             raise ValueError("failed to complete the normal frame")
         v = v / norms[:, None]
         added.append(v)
-        current = np.concatenate([current, v[:, :, None]], axis=2)
+        if len(added) < p:
+            current = np.concatenate([current, v[:, :, None]], axis=2)
     return np.stack(added, axis=2)  # (M, N, p)
 
 
@@ -503,6 +507,30 @@ def _second_form(x: np.ndarray, first: np.ndarray, second: np.ndarray, work=None
     return tangent, coef, sqrt_g, h
 
 
+def _oriented_normals(patch: ImmersionPatch, pts: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The normal frame (M, N, p) completing ``basis``, gauged in codimension 1.
+
+    ``basis`` (M, N, n + 1) holds a tangent frame and the position as
+    columns at the chart points ``pts``. Codimension one: the normal
+    line is unique, only its sign is free. A patch-supplied reference
+    field gives a globally smooth gauge; otherwise fall back to the
+    chart orientation, turned over past the fold of a doubled chart.
+    """
+    normal = _complete_normals(basis, patch.p)
+    if patch.p != 1:
+        return normal
+    if patch.normal_hint is not None:
+        ref = np.asarray(patch.normal_hint(pts), dtype=float)
+        dots = np.einsum("mj,mj->m", normal[:, :, 0], ref)
+        if np.any(np.abs(dots) < 1e-8):
+            raise ValueError("normal_hint is orthogonal to the normal line")
+        flip = np.sign(dots)
+    else:
+        full = np.concatenate([basis, normal], axis=2)
+        flip = np.sign(np.linalg.det(full)) * _fold_sign(patch, pts.T)
+    return normal * flip[:, None, None]
+
+
 def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBatch:
     """Shape data for a batch of chart points; see :func:`shape_data`.
 
@@ -521,23 +549,7 @@ def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBa
     tangent, r_inv, _ = _tangent_gram_schmidt(tangent.transpose(2, 0, 1))
     coef = r_inv.transpose(2, 1, 0)[:, None]
     tangent = tangent.transpose(2, 1, 0)  # (M, N, n)
-    basis = np.concatenate([tangent, x[:, :, None]], axis=2)
-    normal = _complete_normals(basis, patch.p)
-    if patch.p == 1:
-        # Codimension one: the normal line is unique, only its sign is
-        # free. A patch-supplied reference field gives a globally smooth
-        # gauge; otherwise fall back to the chart orientation, turned
-        # over past the fold of a doubled chart.
-        if patch.normal_hint is not None:
-            ref = np.asarray(patch.normal_hint(pts), dtype=float)
-            dots = np.einsum("mj,mj->m", normal[:, :, 0], ref)
-            if np.any(np.abs(dots) < 1e-8):
-                raise ValueError("normal_hint is orthogonal to the normal line")
-            flip = np.sign(dots)
-        else:
-            full = np.concatenate([basis, normal], axis=2)
-            flip = np.sign(np.linalg.det(full)) * _fold_sign(patch, pts.T)
-        normal = normal * flip[:, None, None]
+    normal = _oriented_normals(patch, pts, np.concatenate([tangent, x[:, :, None]], axis=2))
     h = np.einsum("mkj,mjp->mpk", h, normal).reshape(len(pts), -1, n, n)
     h = coef @ h @ coef.transpose(0, 1, 3, 2)
 

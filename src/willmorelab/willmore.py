@@ -25,6 +25,7 @@ import numpy as np
 from .catalog import IsoparametricSpec
 from .grids import QuadratureGrid
 from .immersion import (
+    FD_STEP,
     ImmersionPatch,
     MobiusMap,
     PoleError,
@@ -32,11 +33,16 @@ from .immersion import (
     _chunk_points,
     _grid_laplacian,
     _integrand_chunks,
+    _jets,
     _linear_fraction,
+    _oriented_normals,
     _require_periodic_grid,
+    _second_form,
+    _work_buffers,
     laplace_beltrami,  # re-exported: callers import it from this module
     mobius_apply,
     random_mobius,
+    # Not called here: perfbench's tracer patches this willmore name.
     shape_batch,
 )
 from .tensors import equality_witness, traceless_part, trial_rng
@@ -337,20 +343,40 @@ def el_residual_isoparametric(spec: IsoparametricSpec) -> ELResidual:
     return ELResidual(values=values, scale=scale)
 
 
+def _surface_fields(patch: ImmersionPatch, pts: np.ndarray, work):
+    """Signed H, S, sqrt g and coef of a surface in S^3 at chart points.
+
+    The frame-free kernel :func:`_second_form` (into ``work``) gives h
+    as ambient normal vectors in a Gram-Schmidt tangent frame, so
+    S = sum_ab |h_ab|^2 and the mean curvature vector is trace(h) / 2;
+    the signed H is its dot with the normal of :func:`_oriented_normals`.
+    ``coef`` is the kernel's R^{-1}, so g^{-1} = coef^T coef. A rank error
+    names the index in ``pts``.
+    """
+    x, first, second = _jets(patch, pts, FD_STEP)
+    tangent, coef, sqrt_g, h = _second_form(x, first, second, work)
+    basis = np.concatenate([tangent.transpose(2, 1, 0), x[:, :, None]], axis=2)
+    # Freed before the normal is completed, where the sweep peaks.
+    del x, first, tangent
+    normal = _oriented_normals(patch, pts, basis)[:, :, 0]
+    mean = np.einsum("ciiN->cN", h.reshape(len(pts), 2, 2, -1)) / 2.0
+    return np.einsum("cj,cj->c", mean, normal), np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
+
+
 def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceResidual:
     """Pointwise residual Delta H + H (S - 2 H^2) for a surface chart.
 
     Needs n = 2 and codimension 1 (so the normal Laplacian collapses to
     the scalar Laplace-Beltrami of the signed mean curvature) and a
-    fully periodic chart for the discrete Laplacian. The signed mean
-    curvature needs the oriented normal of :func:`shape_batch`, run on
-    the rows the row-blocked Laplacian asks for, in pieces of at most
-    ``_chunk_points(patch)`` nodes sliced from ``grid.points()``; each
-    piece's 2 x 2 metrics are inverted on their own, so the bits are
-    those of inverting every node at once. H (S - 2 H^2) is added per
-    block, so H, S, sqrt g and g^{-1} follow the block and only the
-    result is node-sized. A rank error names the node's flat index, also
-    in a halo row.
+    fully periodic chart for the discrete Laplacian. H, S, sqrt g and
+    g^{-1} come from :func:`_surface_fields`, run on the rows the
+    row-blocked Laplacian asks for, in pieces of at most
+    ``_chunk_points(patch)`` nodes sliced from ``grid.points()``, with one
+    set of work buffers for the whole sweep; no frame beyond the
+    kernel's is built and no metric is inverted. H (S - 2 H^2) is added
+    per block, so the fields follow the block and only the result is
+    node-sized. A rank error names the node's flat index, also in a halo
+    row.
     """
     if patch.n != 2:
         raise ValueError("surface residual needs a 2-dimensional patch")
@@ -360,11 +386,7 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
     pts = grid.points()
     row = grid.node_total // grid.counts[0]
     size = _chunk_points(patch)
-    # The last batch stays alive until the next one is taken, also from
-    # one block to the next, so the allocator keeps reusing the pages of
-    # a batch's temporaries instead of trimming the heap after each
-    # block and faulting them in again.
-    last_batch = [None]
+    work = _work_buffers(size, patch.n, patch.ambient_dim)
 
     def rows(start, stop):
         lo, hi = start * row, stop * row
@@ -373,14 +395,12 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
         for first in range(lo, hi, size):
             last = min(first + size, hi)
             try:
-                batch = last_batch[0] = shape_batch(patch, pts[first:last])
+                h, s, sg, coef = _surface_fields(patch, pts[first:last], work)
             except RankError as exc:
                 raise RankError(first + exc.index, exc.smin) from None
             piece = slice(first - lo, last - lo)
-            h_signed[piece] = batch.mean_vector[:, 0]
-            s_field[piece] = batch.S
-            sqrt_g[piece] = batch.sqrt_g
-            ginv[piece] = np.linalg.inv(batch.metric)
+            h_signed[piece], s_field[piece], sqrt_g[piece] = h, s, sg
+            np.matmul(coef.transpose(0, 2, 1), coef, out=ginv[piece])
         shape = (stop - start,) + grid.shape[1:]
         return (h_signed.reshape(shape), sqrt_g.reshape(shape),
                 ginv.reshape(shape + (2, 2)), s_field.reshape(shape))

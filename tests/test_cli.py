@@ -511,7 +511,7 @@ _GOLDEN = [
             "id": "clifford-torus:1,2",
             "mode": "surface",
             "grid": [64, 64],
-            "max_residual": 6.844717596027597e-14,
+            "max_residual": 3.7551899054505196e-14,
             "willmore": True,
         },
     ),

@@ -317,7 +317,8 @@ def test_energy_chunk_working_set_stays_small():
 def test_surface_residual_memory_follows_the_chunk_not_the_grid():
     # Peak allocation grows by the result (one double per node) and by
     # the row block, which is 16 rows at both sizes, so twice as many
-    # nodes at 256^2: 1.74 doubles per node measured, not by the frames
+    # nodes at 256^2: 2.04 doubles per node measured (1.74 through
+    # shape_batch, whose peak was higher at both sizes), not by the frames
     # and jets of one shape batch over the whole grid (about 94 doubles
     # per node). H, S, sqrt g and g^{-1} are taken per block of rows;
     # gathering H, S, sqrt g and the metric's upper triangle for every
