@@ -48,14 +48,22 @@ __all__ = [
     "veronese_ambient",
     "product_spheres",
     "round_sphere",
+    "round_sphere_spec",
     "torus_family_patch",
     "isoparametric_from_shape",
     "resolve",
     "catalog_ids",
     "UnknownExampleError",
+    "AMBIENT_DIM_MAX",
 ]
 
 _COLATITUDE_SAFE = (0.2, math.pi - 0.2)
+# Largest ambient dimension a catalog id may ask for, checked from the id's
+# numbers before any array is built: an id's spec holds n x n shape
+# matrices (n = 100000 asks for 75 GiB), its residual scale rho^(n - 2)
+# overflows a float near n = 262, and 200 sphere factors run for minutes.
+# At 64, el-check and shape of any id take well under a second.
+AMBIENT_DIM_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -574,15 +582,22 @@ def _fields(name: str, arg: str, form: str) -> list[str]:
     return parts
 
 
+def _check_ambient_dim(dim: int) -> None:
+    if dim > AMBIENT_DIM_MAX:
+        raise ValueError(f"ambient dimension {dim} exceeds the cap of {AMBIENT_DIM_MAX}")
+
+
 def resolve(example_id: str) -> CatalogEntry:
     """Resolve a catalog id string to its patch and isoparametric data."""
     name, _, arg = example_id.partition(":")
     try:
         if name == "willmore-torus":
             m, n = (int(s) for s in _fields(name, arg, "m,n"))
+            _check_ambient_dim(n + 2)
             patch, spec = willmore_torus(m, n)
         elif name == "clifford-torus":
             m, n = (int(s) for s in _fields(name, arg, "m,n"))
+            _check_ambient_dim(n + 2)
             patch, spec = clifford_torus(m, n)
         elif name == "veronese":
             if arg:
@@ -591,10 +606,12 @@ def resolve(example_id: str) -> CatalogEntry:
             spec = isoparametric_from_shape(patch.exact_shape(_VERONESE_SPEC_POINT))
         elif name == "product-spheres":
             ms = tuple(int(s) for s in arg.split(","))
+            _check_ambient_dim(sum(ms) + len(ms))
             patch, spec = product_spheres(ms)
         elif name == "round-sphere":
             parts = _fields(name, arg, "n,p,r")
             n, p, r = int(parts[0]), int(parts[1]), float(parts[2])
+            _check_ambient_dim(n + p + 1)
             patch = round_sphere(n, p, r)
             spec = round_sphere_spec(n, p, r)
         else:

@@ -222,6 +222,15 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     entry = resolve(config.example_id)
     patch = entry.patch
     levels = _energy_resolutions(config.resolution)
+    odd = [res for res in levels if res % 2]
+    if patch.fold_axes and odd:
+        # Checked here, not by the grid, so that the message names the level.
+        raise UsageError(
+            f"convergence level {odd[0]} of --resolution {config.resolution} (levels "
+            f"{', '.join(map(str, levels))}) is an odd node count on axis {patch.fold_axes[0]}: "
+            f"{patch.name} folds at the midpoint of that axis, where an odd count puts a "
+            "node; use a multiple of 8, which makes every level even"
+        )
     if args.check and len(levels) < 2:
         raise UsageError(
             "--assert compares the two finest convergence levels; "

@@ -107,60 +107,38 @@ class SurfaceResidual:
     max_norm: float
 
 
-def _pairwise_plan(total: int, block: int):
-    """``np.sum``'s pairwise tree over ``total`` values, in post order.
-
-    NumPy splits a run of n > ``_PAIRWISE_LEAF`` values into its first
-    n2 = n // 2 - (n // 2) % 8 and its last n - n2, sums each half the
-    same way and adds the two sums. The split is followed here down to
-    runs of at most ``max(block, _PAIRWISE_LEAF)`` values, the leaves,
-    which ``np.sum`` itself sums bit for bit. Yields each leaf's length
-    and, for each addition, 0: the top two sums of a stack are replaced
-    by their sum. The plan is generated as it is read, so it holds two
-    entries per level of the tree.
-    """
-    limit = max(block, _PAIRWISE_LEAF)
-    todo = [total]  # runs still to visit, the next one last; 0 is an addition
-    while todo:
-        n = todo.pop()
-        if n <= limit:
-            yield n
-        else:
-            half = n // 2 - n // 2 % 8
-            todo += (0, n - half, half)
-
-
 def _pairwise_sums(chunks, rows: int, total: int, block: int) -> np.ndarray:
     """``np.sum`` of each of ``rows`` rows of ``total`` values, streamed.
 
-    ``chunks`` yields (start, values), ``values`` holding flat indices
-    [start, start + values.shape[1]) of every row, in order of ``start``.
-    Each row's sum equals ``np.sum`` over the whole row bit for bit
-    (:func:`_pairwise_plan`). Only one leaf is buffered, (rows, leaf)
-    values, plus one sum per level of the tree, so memory follows
-    ``block``, not ``total``.
+    ``chunks`` yields (rows, k) arrays, the next k values of every row.
+    ``tree`` follows NumPy's pairwise split (the first n // 2 - (n // 2) % 8
+    values, then the rest, while n > ``_PAIRWISE_LEAF``) down to leaves of
+    at most ``max(block, _PAIRWISE_LEAF)`` values, which ``np.sum`` sums
+    bit for bit, so each row's sum is ``np.sum``'s. One leaf is buffered,
+    filled from ``chunks`` when reached, plus one sum per level: at most
+    log2(total / 112) levels rounded up, 18 for ``GRID_NODE_MAX`` nodes.
     """
-    plan = _pairwise_plan(total, block)
-    length = next(plan)
-    buf = np.zeros((rows, min(total, max(block, _PAIRWISE_LEAF))))
-    stack: list[np.ndarray] = []
-    lo = 0  # first flat index of the leaf being filled
-    for start, values in chunks:
-        stop = start + values.shape[1]
-        pos = start
-        while pos < stop:
-            end = min(stop, lo + length)
-            buf[:, pos - lo : end - lo] = values[:, pos - start : end - start]
-            pos = end
-            if pos == lo + length:
-                stack.append(np.add.reduce(buf[:, :length], axis=-1))  # = np.sum
-                lo += length
-                for length in plan:
-                    if length:
-                        break
-                    right = stack.pop()
-                    stack[-1] = stack[-1] + right
-    (sums,) = stack
+    limit = max(block, _PAIRWISE_LEAF)
+    buf = np.zeros((rows, min(total, limit)))
+    rest = buf[:, :0]  # values taken from the stream and not yet buffered
+
+    def tree(n):
+        nonlocal rest
+        if n > limit:
+            half = n // 2 - n // 2 % 8
+            return tree(half) + tree(n - half)
+        filled = 0
+        while filled < n:
+            if not rest.shape[1]:
+                rest = next(chunks)
+            take = min(n - filled, rest.shape[1])
+            buf[:, filled : filled + take] = rest[:, :take]
+            rest = rest[:, take:]
+            filled += take
+        return np.add.reduce(buf[:, :n], axis=-1)  # = np.sum
+
+    sums = tree(total)
+    del tree  # a cycle through its closure would hold the walk's buffers until gc
     return sums
 
 
@@ -176,7 +154,7 @@ def _chunked_integral(
     being the slice of flat node indices they belong to; f sqrt g times
     the chunk's weights is streamed into :func:`_pairwise_sums`, which
     gives each image the bits of ``np.sum`` over one node-sized density
-    row without holding that row: its buffer is one chunk's worth.
+    row without holding that row: one chunk's buffer, 18 levels at most.
     """
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
@@ -186,7 +164,7 @@ def _chunked_integral(
     def density(start, stop, grazing, rho_sq, sqrt_g, _):
         nonlocal grazed
         grazed = grazing  # the walk's flags only ever turn on, so the last hold them all
-        return start, integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop)
+        return integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop)
 
     # starmap keeps no chunk past its density, unlike a loop variable, so
     # a chunk's fields are freed before the next chunk is taken.

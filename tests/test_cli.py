@@ -130,6 +130,48 @@ def test_odd_resolution_on_a_folded_chart_is_a_usage_error(capsys):
     assert code == 0 and abs(json.loads(out)["value"]) < 1e-12
 
 
+@pytest.mark.parametrize("resolution", ["36", "18"])
+def test_energy_names_the_odd_convergence_level(capsys, resolution):
+    # Both are even, but their quarter or half level is 9; the message
+    # once blamed the even resolution and asked for an even one.
+    argv = ["energy", "round-sphere:2,1,0.8", "--resolution", resolution]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: convergence level 9 of --resolution {resolution} (levels ")
+    assert "odd node count" in err and err.rstrip().endswith(
+        "use a multiple of 8, which makes every level even"
+    )
+    code, out, _ = run(capsys, argv[:-1] + ["40"])
+    assert code == 0 and [r["resolution"] for r in json.loads(out)["convergence"]] == [10, 20, 40]
+
+
+@pytest.mark.parametrize(
+    "ident, dim",
+    [
+        ("willmore-torus:1,100000", 100002),  # once a 74.5 GiB shape matrix
+        ("willmore-torus:1,262", 264),  # once an OverflowError in rho^(n - 2)
+        ("product-spheres:" + ",".join(["1"] * 200), 400),  # once minutes of work
+        ("clifford-torus:1,63", 65),
+        ("round-sphere:2,62,0.5", 65),
+    ],
+)
+def test_ids_beyond_the_ambient_dimension_cap_are_refused(capsys, ident, dim):
+    for command in ("el-check", "shape"):
+        code, out, err = run(capsys, [command, ident])
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: bad example id {ident!r}: ambient dimension {dim} exceeds the cap of 64;"
+        )
+        assert err.count("\n") == 1
+
+
+def test_ids_at_the_ambient_dimension_cap_run(capsys):
+    for ident in ("willmore-torus:1,62", "product-spheres:" + ",".join(["1"] * 32)):
+        for command in ("el-check", "shape"):
+            code, out, _ = run(capsys, [command, ident])
+            assert code == 0 and json.loads(out)["id"] == ident
+
+
 def test_energy_payload_and_convergence(capsys):
     code, out, _ = run(capsys, ["energy", "clifford-torus:1,2", "--resolution", "32", "--assert"])
     assert code == 0

@@ -17,3 +17,23 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_package_name_is_listed_by_its_defining_module():
+    # round_sphere_spec was once exported by the package but missing from
+    # catalog.__all__.
+    modules = [
+        importlib.import_module(f"willmorelab.{info.name}")
+        for info in pkgutil.iter_modules(willmorelab.__path__)
+    ]
+    unlisted = []
+    for name in willmorelab.__all__:
+        obj = getattr(willmorelab, name)
+        home = getattr(obj, "__module__", "")
+        if home.startswith("willmorelab."):
+            homes = [importlib.import_module(home)]
+        else:  # a constant: the modules that bind it under this name
+            homes = [module for module in modules if vars(module).get(name) is obj]
+        if not any(name in module.__all__ for module in homes):
+            unlisted.append(name)
+    assert unlisted == []
