@@ -2,159 +2,25 @@
 round unit sphere: shape operators from charts, the conformal bending
 energy and its critical-point residuals, pinching integrals with their
 rigidity classifier, matrix and tensor inequality checks, and a
-critical-radius optimizer for the product-torus family."""
+critical-radius optimizer for the product-torus family.
 
-from .catalog import (
-    CatalogEntry,
-    IsoparametricSpec,
-    UnknownExampleError,
-    catalog_ids,
-    clifford_torus,
-    isoparametric_from_shape,
-    product_spheres,
-    resolve,
-    round_sphere,
-    round_sphere_spec,
-    torus_family_patch,
-    veronese,
-    veronese_ambient,
-    willmore_torus,
-)
-from .grids import AxisInterval, QuadratureGrid
-from .immersion import (
-    ImmersionPatch,
-    MobiusMap,
-    PoleError,
-    RankError,
-    ShapeBatch,
-    ShapeData,
-    grid_gradient_pairing,
-    laplace_beltrami,
-    mobius_apply,
-    random_mobius,
-    sample_safe_points,
-    scalar_curvature,
-    shape_batch,
-    shape_data,
-)
-from .linalg import (
-    SymmetricMatrix,
-    commutator,
-    frob_norm_sq,
-    jacobi_eigen,
-)
-from .optimize import (
-    TorusFamily,
-    energy_derivative,
-    family_energy,
-    family_profile,
-    find_critical_radius,
-    second_difference,
-    unit_sphere_volume,
-)
-from .tensors import (
-    ShapeFamily,
-    SymTensor3,
-    canonical_pair,
-    check_chern_inequality,
-    check_li_inequality,
-    equality_witness,
-    f_tensor_decompose,
-    random_symmetric,
-    random_trace_free_family,
-    traceless_part,
-    trial_rng,
-)
-from .willmore import (
-    AT_THRESHOLD_UNRECOGNIZED,
-    OUTSIDE_PINCHING_RANGE,
-    TOTALLY_UMBILIC,
-    VERONESE,
-    WILLMORE_TORUS,
-    Classification,
-    ELResidual,
-    SurfaceResidual,
-    classify_willmore,
-    conformal_trials,
-    el_residual_isoparametric,
-    el_residual_surface,
-    grid_integral,
-    mobius_energies,
-    pinching_integral,
-    pinching_threshold,
-    willmore_energy,
-)
+Each library module's ``__all__`` is the one list of its public names;
+the package re-exports every one of them.
+"""
+
+from . import catalog, grids, immersion, linalg, optimize, tensors, willmore
+from .catalog import *
+from .grids import *
+from .immersion import *
+from .linalg import *
+from .optimize import *
+from .tensors import *
+from .willmore import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AT_THRESHOLD_UNRECOGNIZED",
-    "AxisInterval",
-    "CatalogEntry",
-    "Classification",
-    "ELResidual",
-    "ImmersionPatch",
-    "IsoparametricSpec",
-    "MobiusMap",
-    "OUTSIDE_PINCHING_RANGE",
-    "PoleError",
-    "QuadratureGrid",
-    "RankError",
-    "ShapeBatch",
-    "ShapeData",
-    "ShapeFamily",
-    "SurfaceResidual",
-    "SymTensor3",
-    "SymmetricMatrix",
-    "TOTALLY_UMBILIC",
-    "TorusFamily",
-    "UnknownExampleError",
-    "VERONESE",
-    "WILLMORE_TORUS",
-    "canonical_pair",
-    "catalog_ids",
-    "check_chern_inequality",
-    "check_li_inequality",
-    "classify_willmore",
-    "clifford_torus",
-    "commutator",
-    "conformal_trials",
-    "el_residual_isoparametric",
-    "el_residual_surface",
-    "energy_derivative",
-    "equality_witness",
-    "f_tensor_decompose",
-    "family_energy",
-    "family_profile",
-    "find_critical_radius",
-    "frob_norm_sq",
-    "grid_gradient_pairing",
-    "grid_integral",
-    "isoparametric_from_shape",
-    "jacobi_eigen",
-    "laplace_beltrami",
-    "mobius_apply",
-    "mobius_energies",
-    "pinching_integral",
-    "pinching_threshold",
-    "product_spheres",
-    "random_mobius",
-    "random_symmetric",
-    "random_trace_free_family",
-    "resolve",
-    "round_sphere",
-    "round_sphere_spec",
-    "sample_safe_points",
-    "scalar_curvature",
-    "second_difference",
-    "shape_batch",
-    "shape_data",
-    "torus_family_patch",
-    "traceless_part",
-    "trial_rng",
-    "unit_sphere_volume",
-    "veronese",
-    "veronese_ambient",
-    "willmore_energy",
-    "willmore_torus",
+    name
+    for module in (catalog, grids, immersion, linalg, optimize, tensors, willmore)
+    for name in module.__all__
 ]

@@ -273,9 +273,10 @@ def _product_patch(
         axes.extend(fa)
         safe.extend(fs)
 
-    # In codimension one the catalog knows the smooth co-normal field, so
-    # the shape pipeline gets a sign reference that stays consistent even
-    # when the chart folds (the doubled 2-sphere chart needs this).
+    # In codimension one the catalog knows the smooth co-normal field. It
+    # keeps the sign convention above, which the orientation gauge meets
+    # only up to one sign per chart, and costs a dot product, not a
+    # determinant.
     hint = None
     if ambient - n - 1 == 1:
         if not tail and len(dims) == 2:

@@ -83,14 +83,6 @@ _SUITE_CHUNK = 4096
 # shell reports for a process that a broken pipe ends.
 _EXIT_BROKEN_PIPE = 141
 
-_DEFAULT_TOLERANCE = {
-    "energy": 1e-6,
-    "el-check": 1e-10,
-    "pinch": 1e-8,
-    "conformal-test": 1e-3,
-    "optimize": 1e-6,
-}
-
 
 class UsageError(Exception):
     pass
@@ -118,15 +110,12 @@ class RunConfig:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is None:
-        tolerance = _DEFAULT_TOLERANCE.get(args.command, 1e-8)
     return RunConfig(
         example_id=getattr(args, "example_id", None),
         resolution=getattr(args, "resolution", 64),
         seed=getattr(args, "seed", 0),
         trials=getattr(args, "trials", 1000),
-        tolerance=float(tolerance),
+        tolerance=getattr(args, "tolerance", 1e-8),
     )
 
 
@@ -504,7 +493,9 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="also write the command's CSV table to this path")
 
 
-def _add_check_flag(sub: argparse.ArgumentParser) -> None:
+def _add_check_flags(sub: argparse.ArgumentParser, tolerance: float, bound: str) -> None:
+    sub.add_argument("--tolerance", type=float, default=tolerance,
+                     help=f"--assert bound on {bound} (default %(default)s)")
     sub.add_argument("--assert", dest="check", action="store_true",
                      help="turn expected-value checks into exit-code failures")
 
@@ -518,77 +509,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_catalog = sub.add_parser("catalog", help="list example ids")
+    p_catalog.set_defaults(handler=_cmd_catalog)
     _add_output_flags(p_catalog)
 
     p_shape = sub.add_parser("shape", help="shape data at a chart point")
+    p_shape.set_defaults(handler=_cmd_shape)
     p_shape.add_argument("example_id")
     p_shape.add_argument("--point", default=None,
                          help="comma-separated chart coordinates")
     _add_output_flags(p_shape)
 
     p_energy = sub.add_parser("energy", help="bending energy with a convergence table")
+    p_energy.set_defaults(handler=_cmd_energy)
     p_energy.add_argument("example_id")
     p_energy.add_argument("--resolution", type=int, default=128)
-    p_energy.add_argument("--tolerance", type=float, default=None)
-    _add_check_flag(p_energy)
+    _add_check_flags(p_energy, 1e-6, "the drift of the two finest levels over max(1, |value|)")
     _add_output_flags(p_energy)
 
     p_el = sub.add_parser("el-check", help="critical-point residual")
+    p_el.set_defaults(handler=_cmd_el_check)
     p_el.add_argument("example_id")
     p_el.add_argument("--surface", action="store_true",
                       help="pointwise surface residual on a periodic grid "
                       "instead of the constant-shape residual")
     p_el.add_argument("--resolution", type=int, default=64)
-    p_el.add_argument("--tolerance", type=float, default=None)
-    _add_check_flag(p_el)
+    _add_check_flags(p_el, 1e-10, "the residual")
     _add_output_flags(p_el)
 
     p_pinch = sub.add_parser("pinch", help="threshold-weighted pinching integral")
+    p_pinch.set_defaults(handler=_cmd_pinch)
     p_pinch.add_argument("example_id")
     p_pinch.add_argument("--mode", choices=("simons", "li"), default="simons")
     p_pinch.add_argument("--resolution", type=int, default=64)
-    p_pinch.add_argument("--tolerance", type=float, default=None)
-    _add_check_flag(p_pinch)
+    _add_check_flags(p_pinch, 1e-8, "the integral")
     _add_output_flags(p_pinch)
 
     p_props = sub.add_parser("matrix-props", help="randomized inequality suites")
+    p_props.set_defaults(handler=_cmd_matrix_props)
     p_props.add_argument("--trials", type=int, default=1000)
     p_props.add_argument("--seed", type=int, default=0)
     _add_output_flags(p_props)
 
     p_conf = sub.add_parser("conformal-test",
                             help="energy drift under random conformal maps")
+    p_conf.set_defaults(handler=_cmd_conformal_test)
     p_conf.add_argument("example_id")
     p_conf.add_argument("--maps", type=int, default=10)
     p_conf.add_argument("--resolution", type=int, default=128)
     p_conf.add_argument("--seed", type=int, default=0)
-    p_conf.add_argument("--tolerance", type=float, default=None)
-    _add_check_flag(p_conf)
+    _add_check_flags(p_conf, 1e-3, "the energy drift over max(1, |base|)")
     _add_output_flags(p_conf)
 
     p_opt = sub.add_parser("optimize", help="critical radius of the torus family")
+    p_opt.set_defaults(handler=_cmd_optimize)
     p_opt.add_argument("m", type=int)
     p_opt.add_argument("n", type=int)
-    p_opt.add_argument("--tolerance", type=float, default=None,
-                       help="--assert bound on |critical - balanced radius| (default 1e-6)")
     p_opt.add_argument("--samples", type=int, default=200,
                        help="rows in the CSV profile")
-    _add_check_flag(p_opt)
+    _add_check_flags(p_opt, 1e-6, "|critical - balanced radius|")
     _add_output_flags(p_opt)
 
     return parser
-
-
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "shape": _cmd_shape,
-    "energy": _cmd_energy,
-    "el-check": _cmd_el_check,
-    "pinch": _cmd_pinch,
-    "matrix-props": _cmd_matrix_props,
-    "conformal-test": _cmd_conformal_test,
-    "optimize": _cmd_optimize,
-}
 
 
 @functools.cache
@@ -616,9 +597,8 @@ def _drop_stdout() -> None:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        code = handler(args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except (UsageError, ValueError) as exc:

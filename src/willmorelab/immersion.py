@@ -12,9 +12,10 @@ frame, and the scalar invariants
 The normal-frame gauge is not matched between neighboring points; any
 quantity compared across points must be gauge invariant (H, S, rho^2,
 eigenvalues of sum_a (h^a)^2, the metric). The one exception is
-codimension 1, where the unit normal is fixed by the patch's
-``normal_hint`` or else by orientation, turned over past the fold of a
-doubled chart, and varies continuously along the chart.
+codimension 1, where the unit normal varies continuously along the
+chart: the orientation, turned over past the fold of a doubled chart,
+fixes it up to one sign per chart, and the patch's ``normal_hint``
+picks that sign.
 
 The patch decides how its derivatives are taken: its closed-form jets
 when it carries them, second-order central differences otherwise. No
@@ -136,11 +137,12 @@ class ImmersionPatch:
 
     ``normal_hint``, for codimension-1 patches that know a smooth
     co-normal field, maps chart points to ambient vectors with positive
-    dot against the intended unit normal. It pins the sign of the
-    computed normal globally; without it the sign follows the chart
-    orientation, which cannot be globally consistent on charts whose
-    sheets cover the image with opposite orientations (a torus chart
-    doubling a 2-sphere has no orientation-compatible gauge at all).
+    dot against the intended unit normal. Without it the sign follows
+    the chart orientation, turned over past the fold of a doubled chart,
+    which is consistent too and differs from the hinted normal by one
+    sign over the whole chart. The catalog's hints keep its sign
+    convention (the first factor carries +b/a), and a dot product costs
+    less than the orientation determinant.
 
     ``fold_axes`` lists periodic axes along which the chart doubles back
     at the middle of the interval (a doubled sphere chart). The chart

@@ -280,9 +280,13 @@ def pinching_threshold(n: int, p: int, mode: str) -> float:
 def pinching_integral(patch: ImmersionPatch, grid: QuadratureGrid, mode: str = "simons") -> float:
     """Integral of rho^n (C - rho^2) with C the chosen pinching constant.
 
-    Nonpositive for critical submanifolds whose rho^2 stays within the
-    pinching window; exactly zero for the constant-shape examples that
-    sit at the threshold.
+    For critical (Willmore) charts the Simons-type inequality makes it
+    nonpositive, with no condition on rho^2, and it is exactly zero on
+    the constant-shape examples at the threshold (the Willmore tori and
+    the Veronese surface). The window 0 <= rho^2 <= C belongs only to the
+    rigidity corollary, where it forces rho = 0 or rho^2 = C. A chart
+    that is not critical can read positive: +0.182 for the central
+    projection of the ellipsoid with semi-axes (0.5, 0.5, 0.55).
     """
     threshold = pinching_threshold(patch.n, patch.p, mode)
     power = patch.n / 2.0

@@ -440,6 +440,22 @@ def test_every_subcommand_has_exactly_its_pinned_options():
     assert got == want
 
 
+@pytest.mark.parametrize("argv, handler, tolerance", [
+    (["catalog"], cli._cmd_catalog, None),
+    (["shape", "veronese"], cli._cmd_shape, None),
+    (["energy", "veronese"], cli._cmd_energy, 1e-6),
+    (["el-check", "veronese"], cli._cmd_el_check, 1e-10),
+    (["pinch", "veronese"], cli._cmd_pinch, 1e-8),
+    (["matrix-props"], cli._cmd_matrix_props, None),
+    (["conformal-test", "veronese"], cli._cmd_conformal_test, 1e-3),
+    (["optimize", "1", "3"], cli._cmd_optimize, 1e-6),
+])
+def test_each_subcommand_parses_to_its_handler_and_tolerance(argv, handler, tolerance):
+    args = cli.build_parser().parse_args(argv)
+    assert args.handler is handler
+    assert getattr(args, "tolerance", None) == tolerance
+
+
 def test_reused_parser_matches_fresh_parsers(capsys):
     calls = [
         ["catalog", "--format", "csv"],

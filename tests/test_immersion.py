@@ -196,6 +196,21 @@ def test_normal_hint_pins_the_sign_on_folded_charts():
     assert signed.min() > 0.74 and signed.max() < 0.76
 
 
+@pytest.mark.parametrize("ident", [
+    "round-sphere:2,1,0.8", "clifford-torus:2,4", "willmore-torus:2,5",
+    "clifford-torus:1,2", "clifford-torus:1,3", "willmore-torus:1,2",
+    "willmore-torus:1,3", "round-sphere:1,1,0.6", "round-sphere:3,1,0.5",
+])
+def test_normal_hint_is_one_global_sign_of_the_orientation_gauge(ident):
+    # The orientation gauge, turned over past a fold, is consistent too;
+    # the hint only picks the catalog's sign (+b/a on the first factor).
+    patch = resolve(ident).patch
+    points = QuadratureGrid.for_patch(patch, 12 if patch.n <= 3 else 8).points()
+    hinted = shape_batch(patch, points).normal
+    plain = shape_batch(replace(patch, normal_hint=None), points).normal
+    assert np.array_equal(hinted, plain) or np.array_equal(hinted, -plain)
+
+
 def test_normal_hint_orthogonal_to_normal_is_rejected():
     base = _flat_patch()
     bad = replace(base, normal_hint=base.evaluator)  # position is normal-orthogonal

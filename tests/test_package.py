@@ -37,3 +37,19 @@ def test_every_package_name_is_listed_by_its_defining_module():
         if not any(name in module.__all__ for module in homes):
             unlisted.append(name)
     assert unlisted == []
+
+
+def test_every_library_name_is_bound_on_the_package():
+    # The package re-exports each library module's __all__; the CLI is
+    # not a library module.
+    unbound = []
+    for info in pkgutil.iter_modules(willmorelab.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"willmorelab.{info.name}")
+        for name in module.__all__:
+            if name not in willmorelab.__all__ or (
+                getattr(willmorelab, name, None) is not getattr(module, name)
+            ):
+                unbound.append(f"{info.name}.{name}")
+    assert unbound == []
