@@ -42,13 +42,14 @@ Gram-Schmidt frame, and h_ij as ambient normal vectors):
   buffers allocated once per walk, or over the spent second jet. The
   energy, pinching, grid and conformal integrals stream each chunk
   into ``np.sum``'s pairwise tree, one per image, so their memory
-  follows the chunk, not the nodes or the jets of the grid. The
-  Laplacian's stencil (``_grid_laplacian``) sweeps blocks of grid rows
-  and asks its caller for f, sqrt g and g^{-1} one block of rows at a
-  time, so its temporaries follow the block; :func:`laplace_beltrami`
-  computes those rows with ``_integrand_fields`` and the surface
-  residual with ``_second_form`` and its R^{-1}, so only their result is
-  node-sized.
+  follows the chunk, not the nodes or the jets of the grid.
+
+The Laplacian's stencil, ``_grid_laplacian``, sweeps blocks of grid rows
+and owns their per-node fields: per chunk of nodes its caller's kernel
+(``_second_form`` for :func:`laplace_beltrami`, ``_surface_fields`` for
+the surface residual) returns f, sqrt g, R^{-1} and any further fields,
+using the sweep's one set of work buffers, and the sweep forms g^{-1}, so
+its temporaries follow the block and only the result is node-sized.
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -653,8 +654,8 @@ def _integrand_fields(patch: ImmersionPatch, nodes):
     """Per-point (rho^2, sqrt g, g^{-1}) over all of ``nodes``.
 
     The chunks of :func:`_integrand_chunks`, written into whole arrays
-    for the grid operators: one scalar pair and one n x n matrix per
-    point. The arrays are allocated once, so no chunk is held twice.
+    for :func:`grid_gradient_pairing` alone: one scalar pair and one
+    n x n matrix per point, allocated once, so no chunk is held twice.
     """
     m = nodes.node_total if isinstance(nodes, QuadratureGrid) else len(np.atleast_2d(nodes))
     n = patch.n
@@ -718,31 +719,53 @@ def _block_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return _periodic_partial(values[1:-1], axis, h)
 
 
-def _grid_laplacian(patch: ImmersionPatch, fields_of, grid: QuadratureGrid):
+def _grid_laplacian(patch: ImmersionPatch, grid: QuadratureGrid, kernel):
     """Laplace-Beltrami of a grid function, swept over blocks of grid rows.
 
-    ``fields_of(start, stop)`` returns fields on the grid rows
-    start..stop-1 (indices along axis 0, 0 <= start < stop <= count),
-    each shaped (stop - start,) + grid.shape[1:] + its own trailing axes,
-    led by f, sqrt g and g^{-1} (trailing n x n); further fields ride
-    along. sqrt g takes the fold sign of the patch, so on a doubled
-    chart the flux stays smooth across the fold instead of following
-    the kink of |sqrt g|.
+    The one owner of the stencil's per-node fields. ``kernel(nodes, work)``
+    returns f, sqrt g and coef (R^{-1} of :func:`_second_form`, trailing
+    n x n), then any further fields, on a slice of at most
+    ``_chunk_points(patch)`` flat node indices, using the sweep's one set
+    of :func:`_work_buffers`. The sweep forms g^{-1} = coef^T coef and
+    makes a rank error name the node's flat index in the grid. sqrt g
+    takes the fold sign of the patch, so on a doubled chart the flux
+    stays smooth across the fold instead of following the kink of |sqrt g|.
 
     Yields (start, stop, lap, fields) per block of about
     ``_chunk_points(patch)`` nodes and at least ``_BLOCK_ROWS_MIN`` rows:
-    the Laplacian and the fields on rows start..stop-1. A block reads f
-    with a two-row periodic halo and the metric with a one-row halo, and
-    runs the elementwise operations of the whole-array stencil in their
-    order, so it gives the same bits while every array it holds follows
-    the block. A block keeps the four rows it shares with the one before
-    it, so ``fields_of`` is asked for every row once, apart from the four
-    rows where the sweep wraps around.
+    the Laplacian on grid rows start..stop-1 and f, sqrt g, g^{-1} and
+    the further fields there, each shaped (stop - start,) + grid.shape[1:]
+    + its own trailing axes. A block reads f with a two-row periodic halo
+    and the metric with a one-row halo, and runs the elementwise
+    operations of the whole-array stencil in their order, so it gives the
+    same bits while every array it holds follows the block. A block keeps
+    the four rows it shares with the one before it, so the kernel sees
+    every row once, apart from the four rows where the sweep wraps around.
     """
     n = grid.ndim
     count = grid.counts[0]
+    row = grid.node_total // count
+    size = _chunk_points(patch)
+    work = _work_buffers(min(size, grid.node_total), patch.n, patch.ambient_dim)
+
+    def fields_of(start, stop):
+        lo, hi = start * row, stop * row
+        fields = []
+        for first in range(lo, hi, size):
+            try:
+                f, sqrt_g, coef, *extra = kernel(slice(first, min(first + size, hi)), work)
+            except RankError as exc:
+                raise RankError(first + exc.index, exc.smin) from None
+            if not fields:
+                fields = [np.empty((hi - lo,) + a.shape[1:]) for a in (f, sqrt_g, coef, *extra)]
+            piece = slice(first - lo, first - lo + len(f))
+            np.matmul(coef.transpose(0, 2, 1), coef, out=fields[2][piece])
+            for whole, a in zip(fields[:2] + fields[3:], (f, sqrt_g, *extra)):
+                whole[piece] = a
+        return [a.reshape((stop - start,) + grid.shape[1:] + a.shape[1:]) for a in fields]
+
     spacings = [grid.spacing(a) for a in range(n)]
-    block = max(_BLOCK_ROWS_MIN, _chunk_points(patch) * count // grid.node_total)
+    block = max(_BLOCK_ROWS_MIN, size * count // grid.node_total)
     window = []
     for start in range(0, count, block):
         stop = min(start + block, count)
@@ -802,26 +825,23 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     O(h^2); on ``round_sphere(2, 1, 0.8)`` with f = x_0 the gap is
     0.076, 0.019 and 0.0048 at 32, 64 and 128 nodes per axis.
 
-    sqrt g and g^{-1} are taken by :func:`_integrand_fields` on the rows
-    the row-blocked stencil asks for, so only the result is node-sized;
-    a rank error names the node's flat index in the grid.
+    Its stencil's kernel is :func:`_second_form` on each chunk's jets,
+    with no rho^2 reduced, so only the result is node-sized; a rank
+    error names the node's flat index in the grid.
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    row = grid.node_total // grid.counts[0]
+    flat = values.reshape(-1)
 
-    def rows(start, stop):
-        try:
-            _, sqrt_g, ginv = _integrand_fields(patch, grid.nodes(start * row, stop * row))
-        except RankError as exc:
-            raise RankError(start * row + exc.index, exc.smin) from None
-        shape = (stop - start,) + grid.shape[1:]
-        return values[start:stop], sqrt_g.reshape(shape), ginv.reshape(shape + ginv.shape[1:])
+    def kernel(nodes, work):
+        jets = _jets(patch, grid.nodes(nodes.start, nodes.stop), FD_STEP)
+        _, coef, sqrt_g, _ = _second_form(*jets, work)
+        return flat[nodes], sqrt_g, coef
 
     out = np.empty(grid.shape)
-    for start, stop, lap, _ in _grid_laplacian(patch, rows, grid):
+    for start, stop, lap, _ in _grid_laplacian(patch, grid, kernel):
         out[start:stop] = lap
     return out
 

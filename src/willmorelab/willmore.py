@@ -29,7 +29,6 @@ from .immersion import (
     ImmersionPatch,
     MobiusMap,
     PoleError,
-    RankError,
     _chunk_points,
     _grid_laplacian,
     _integrand_chunks,
@@ -38,11 +37,10 @@ from .immersion import (
     _oriented_normals,
     _require_periodic_grid,
     _second_form,
-    _work_buffers,
-    laplace_beltrami,  # re-exported: callers import it from this module
     mobius_apply,
     random_mobius,
-    # Not called here: perfbench's tracer patches this willmore name.
+    # Not called here: perfbench's tracer patches these willmore names.
+    laplace_beltrami,
     shape_batch,
 )
 from .tensors import equality_witness, traceless_part, trial_rng
@@ -326,10 +324,11 @@ def el_residual_isoparametric(spec: IsoparametricSpec) -> ELResidual:
 
 
 def _surface_fields(patch: ImmersionPatch, pts: np.ndarray, work):
-    """Signed H, S, sqrt g and coef of a surface in S^3 at chart points.
+    """Signed H, sqrt g, coef and S of a surface in S^3 at chart points.
 
-    The frame-free kernel :func:`_second_form` (into ``work``) gives h
-    as ambient normal vectors in a Gram-Schmidt tangent frame, so
+    In the order ``_grid_laplacian`` asks of its kernel. The frame-free
+    :func:`_second_form` (into ``work``) gives h as ambient normal
+    vectors in a Gram-Schmidt tangent frame, so
     S = sum_ab |h_ab|^2 and the mean curvature vector is trace(h) / 2;
     the signed H is its dot with the normal of :func:`_oriented_normals`.
     ``coef`` is the kernel's R^{-1}, so g^{-1} = coef^T coef. A rank error
@@ -342,7 +341,7 @@ def _surface_fields(patch: ImmersionPatch, pts: np.ndarray, work):
     del x, first, tangent
     normal = _oriented_normals(patch, pts, basis)[:, :, 0]
     mean = np.einsum("ciiN->cN", h.reshape(len(pts), 2, 2, -1)) / 2.0
-    return np.einsum("cj,cj->c", mean, normal), np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
+    return np.einsum("cj,cj->c", mean, normal), sqrt_g, coef, np.einsum("cpj,cpj->c", h, h)
 
 
 def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceResidual:
@@ -350,46 +349,26 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
 
     Needs n = 2 and codimension 1 (so the normal Laplacian collapses to
     the scalar Laplace-Beltrami of the signed mean curvature) and a
-    fully periodic chart for the discrete Laplacian. H, S, sqrt g and
-    g^{-1} come from :func:`_surface_fields`, run on the rows the
-    row-blocked Laplacian asks for, in pieces of at most
-    ``_chunk_points(patch)`` nodes sliced from ``grid.points()``, with one
-    set of work buffers for the whole sweep; no frame beyond the
-    kernel's is built and no metric is inverted. H (S - 2 H^2) is added
-    per block, so the fields follow the block and only the result is
-    node-sized. A rank error names the node's flat index, also in a halo
-    row.
+    fully periodic chart for the discrete Laplacian. The stencil's
+    kernel is :func:`_surface_fields` on the nodes ``_grid_laplacian``
+    asks for, sliced from ``grid.points()``; no frame beyond the kernel's
+    is built and no metric is inverted. H (S - 2 H^2) is added per block,
+    so the fields follow the block and only the result is node-sized.
+    A rank error names the node's flat index, also in a halo row.
     """
     if patch.n != 2:
         raise ValueError("surface residual needs a 2-dimensional patch")
     if patch.p != 1:
         raise ValueError("surface residual needs codimension 1")
     _require_periodic_grid(patch, grid)
-    pts = grid.points()
-    row = grid.node_total // grid.counts[0]
-    size = _chunk_points(patch)
-    work = _work_buffers(size, patch.n, patch.ambient_dim)
+    pts = grid.points()  # not grid.nodes: perfbench's tracer counts grid.points
 
-    def rows(start, stop):
-        lo, hi = start * row, stop * row
-        h_signed, s_field, sqrt_g = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
-        ginv = np.empty((hi - lo, 2, 2))
-        for first in range(lo, hi, size):
-            last = min(first + size, hi)
-            try:
-                h, s, sg, coef = _surface_fields(patch, pts[first:last], work)
-            except RankError as exc:
-                raise RankError(first + exc.index, exc.smin) from None
-            piece = slice(first - lo, last - lo)
-            h_signed[piece], s_field[piece], sqrt_g[piece] = h, s, sg
-            np.matmul(coef.transpose(0, 2, 1), coef, out=ginv[piece])
-        shape = (stop - start,) + grid.shape[1:]
-        return (h_signed.reshape(shape), sqrt_g.reshape(shape),
-                ginv.reshape(shape + (2, 2)), s_field.reshape(shape))
+    def kernel(nodes, work):
+        return _surface_fields(patch, pts[nodes], work)
 
     values = np.empty(grid.shape)
     peaks = []
-    for start, stop, lap, (h_signed, _, _, s_field) in _grid_laplacian(patch, rows, grid):
+    for start, stop, lap, (h_signed, _, _, s_field) in _grid_laplacian(patch, grid, kernel):
         # lap + H (S - 2 H^2), one operation at a time in place.
         block = values[start:stop]
         np.square(h_signed, out=block)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from willmorelab import immersion, willmore
 from willmorelab.catalog import (
     clifford_torus,
     product_spheres,
@@ -372,7 +373,7 @@ def _reference_surface_residual(patch, grid):
     work = _work_buffers(size, patch.n, patch.ambient_dim)
     chunks = [_surface_fields(patch, pts[start:start + size], work)
               for start in range(0, len(pts), size)]
-    h, s, sqrt_g, coef = (np.concatenate(field) for field in zip(*chunks))
+    h, sqrt_g, coef, s = (np.concatenate(field) for field in zip(*chunks))
     h, s = h.reshape(grid.shape), s.reshape(grid.shape)
     lap = _reference_grid_laplacian(patch, h, coef.transpose(0, 2, 1) @ coef, sqrt_g, grid)
     return lap + h * (s - 2.0 * h**2)
@@ -436,6 +437,66 @@ def test_surface_residual_equals_the_whole_array_stencil_bit_for_bit(ident, res,
     got = el_residual_surface(patch, grid)
     assert np.array_equal(got.values, want)
     assert got.max_norm == float(np.max(np.abs(want)))
+
+
+def _run_blocked(operator, patch, grid):
+    """One sweep of the row-blocked stencil by the named operator."""
+    if operator == "surface":
+        el_residual_surface(patch, grid)
+    else:
+        laplace_beltrami(patch, np.sin(grid.points()[:, 0]).reshape(grid.shape), grid)
+
+
+def _counted(monkeypatch, module, name, size=lambda *args: 1):
+    """Patch ``module.name`` to record ``size`` of each call's arguments."""
+    calls, inner = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(size(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("operator", ["laplace", "surface"])
+@pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
+def test_each_sweep_builds_one_set_of_work_buffers(monkeypatch, operator, ident, res, layout):
+    # _grid_laplacian holds one set for every chunk of every block; a
+    # kernel that left _second_form to allocate its own would count too.
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    built = _counted(monkeypatch, immersion, "_work_buffers")
+    _run_blocked(operator, patch, grid)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("operator", ["laplace", "surface"])
+@pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
+def test_the_stencil_reduces_no_rho_sq(monkeypatch, operator, ident, res, layout):
+    # The kernels stop at _second_form's h: rho^2 has no use in the stencil.
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    reduced = _counted(monkeypatch, immersion, "_rho_sq_chunk")
+    _run_blocked(operator, patch, grid)
+    assert reduced == []
+
+
+@pytest.mark.parametrize("operator", ["laplace", "surface"])
+@pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
+def test_the_kernel_sees_every_row_once_apart_from_the_wrapped_rows(
+    monkeypatch, operator, ident, res, layout
+):
+    # Jets are taken once per node the kernel is asked for: every grid
+    # row once, and the four rows where the sweep wraps around twice.
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    module = willmore if operator == "surface" else immersion
+    seen = _counted(monkeypatch, module, "_jets", lambda patch, pts, step: len(pts))
+    _run_blocked(operator, patch, grid)
+    row = grid.node_total // grid.counts[0]
+    assert sum(seen) == grid.node_total + 4 * row
+    assert max(seen) <= _chunk_points(patch)
 
 
 def _surface_cases():
