@@ -35,7 +35,9 @@ Gram-Schmidt frame, and h_ij as ambient normal vectors):
 * ``_integrand_chunks`` is the one grid walk of the frame-free kernel
   ``_rho_sq_chunk`` (h reduced to rho^2). It yields rho^2, sqrt g and
   R^{-1} one chunk at a time, for the patch or for many conformal
-  images of it, gathering a grid's nodes chunk by chunk. A chunk holds
+  images of it, gathering a grid's nodes chunk by chunk, over the whole
+  grid or over a range of its flat node indices (the quadrature walks
+  the two halves of its pairwise tree apart). A chunk holds
   the largest power of two of points whose second-derivative jet fits
   ``_CHUNK_BYTES`` (1 MiB), within [``_CHUNK_MIN``, ``_CHUNK_MAX``] =
   [256, 2048], and the large products of ``_second_form`` go to work
@@ -62,7 +64,8 @@ exact-jet path like any catalog chart. Given K fractions,
 jets are taken once, each map takes one product against them, and
 ``_rho_sq_chunk`` runs once over the stacked (map, node) points, so
 every image gets the bits a walk of its own would give. An image that
-passes the pointwise pole guard is flagged and walked to the end.
+passes the pointwise pole guard is flagged and keeps its row to the end,
+but streams zeros: later chunks take no jets or kernel for it.
 
 Evaluators and jets must broadcast over leading axes: input (..., n),
 output (..., ambient_dim). All catalog charts and their conformal images
@@ -588,29 +591,33 @@ def _rho_sq_chunk(x, first, second, work):
     return np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
 
 
-def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
+def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None, start=0, stop=None):
     """Yield (start, stop, grazing, rho^2, sqrt g, coef) per chunk, without frames.
 
-    The one grid walk of the kernel :func:`_rho_sq_chunk`. Without
-    ``fractions`` it walks ``patch``. With K linear fractions
-    (:func:`_linear_fraction`) it walks the K images in lockstep: per
-    chunk the source jets are taken once and :func:`_mobius_jets` maps
-    them through every fraction; an empty list walks nothing.
-    ``grazing`` flags each image from the first chunk on in which it
-    passes the pointwise pole guard of :func:`mobius_apply`. Such an
-    image stays to the last node, as the fraction's denominator is
-    positive on the whole sphere. The coarse pole check is the caller's.
-    Images need exact jets.
+    The one grid walk of the kernel :func:`_rho_sq_chunk`, over the nodes
+    [``start``, ``stop``) (all of them by default). Without ``fractions``
+    it walks ``patch``. With K linear fractions (:func:`_linear_fraction`)
+    it walks the K images in lockstep: per chunk the source jets are
+    taken once and :func:`_mobius_jets` maps them through every fraction
+    not yet flagged; an empty list walks nothing. ``grazing`` flags each
+    image from the first chunk on in which it passes the pointwise pole
+    guard of :func:`mobius_apply`. A flagged image keeps its row, which
+    streams zeros from the next chunk on: its jets and kernel are no
+    longer taken. The coarse pole check is the caller's. Images need
+    exact jets.
 
     rho^2 and sqrt g hold one row per image, bit for bit those of a
-    walk of its own, and ``coef`` is R^{-1} of :func:`_second_form`
-    over the stacked (image, node) points, so g^{-1} = coef^T coef. A
-    chunk holds ``_chunk_points(patch) // K`` nodes and one set of
-    :func:`_work_buffers` serves every chunk, so memory follows the
-    chunk. No normal frame or sign gauge is built; the guards are those
-    of :func:`shape_batch`, and a rank error names the node. Patches
-    without exact jets are differenced with step ``FD_STEP``. The
-    yielded arrays are the caller's.
+    walk of its own wherever the image is not flagged, and ``coef`` is
+    R^{-1} of :func:`_second_form` over the stacked (unflagged image,
+    node) points, so g^{-1} = coef^T coef. Chunks hold
+    ``_chunk_points(patch) // K`` nodes and start at multiples of that
+    count, whatever the range, so a node falls in the same chunk in
+    every walk that takes it; only the range's ends cut a chunk short.
+    One set of :func:`_work_buffers` serves every chunk, so memory
+    follows the chunk. No normal frame or sign gauge is built; the
+    guards are those of :func:`shape_batch`, and a rank error names the
+    node. Patches without exact jets are differenced with step
+    ``FD_STEP``. The yielded arrays are the caller's.
 
     ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
     chunk at a time (the interior check runs on its 1-d nodes), or an
@@ -625,28 +632,40 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None):
         pts = _chart_points(patch, nodes, FD_STEP)
         m, take = len(pts), lambda start, stop: pts[start:stop]
     images = 1 if fractions is None else len(fractions)
-    if not images:
+    stop = m if stop is None else stop
+    if not images or start >= stop:
         return
     size = _chunk_points(patch)
-    work = _work_buffers(min(size, images * m), patch.n, patch.ambient_dim)
+    step = size // images
+    work = _work_buffers(min(size, images * (stop - start)), patch.n, patch.ambient_dim)
     grazing = np.zeros(images, dtype=bool)
-    for start in range(0, m, size // images):
-        stop = min(start + size // images, m)
-        c = stop - start
-        jets = _jets(patch, take(start, stop), FD_STEP)
+    for begin in range(start - start % step, stop, step):
+        lo, hi = max(begin, start), min(begin + step, stop)
+        c = hi - lo
+        live = np.flatnonzero(~grazing)
+        if not live.size:  # every image is flagged: nothing left to take
+            yield lo, hi, grazing, np.zeros((images, c)), np.zeros((images, c)), None
+            continue
+        jets = _jets(patch, take(lo, hi), FD_STEP)
         if fractions is not None:
-            align, *jets = _mobius_jets(*jets, fractions)
-            grazing = grazing | (np.max(align, axis=1) > 1.0 - _POLE_GUARD)
+            align, *jets = _mobius_jets(*jets, [fractions[k] for k in live])
+            grazing = grazing.copy()  # a new array: the caller may keep the last one
+            grazing[live] |= np.max(align, axis=1) > 1.0 - _POLE_GUARD
             jets = [j.reshape((-1,) + j.shape[2:]) for j in jets]
         try:
             rho_sq, sqrt_g, coef = _rho_sq_chunk(*jets, work)
         except RankError as exc:
-            raise RankError(start + exc.index % c, exc.smin) from None
+            raise RankError(lo + exc.index % c, exc.smin) from None
         # The chunk's jets are freed before the caller's turn and its
         # fields before the next chunk's jets are taken, so no two chunks'
         # arrays are held here at once.
         del jets
-        yield start, stop, grazing, rho_sq.reshape(-1, c), sqrt_g.reshape(-1, c), coef
+        rho_sq, sqrt_g = rho_sq.reshape(-1, c), sqrt_g.reshape(-1, c)
+        if live.size < images:  # flagged rows stream zeros
+            rows = np.zeros((2, images, c))
+            rows[:, live] = rho_sq, sqrt_g
+            rho_sq, sqrt_g = rows
+        yield lo, hi, grazing, rho_sq, sqrt_g, coef
         del rho_sq, sqrt_g, coef
 
 

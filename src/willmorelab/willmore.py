@@ -16,6 +16,9 @@ uses 2n/3; for hypersurfaces the simons constant is just n.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Optional
@@ -70,6 +73,14 @@ _UMBILIC_GUARD = 1e-10
 _PAIRWISE_LEAF = 128
 # Maps drawn per requested conformal image before conformal_trials gives up.
 _DRAWS_PER_MAP = 20
+# Fewest chunks a walk needs before its first half goes to a forked
+# child. Forking, the child's first writes to its copied pages and the
+# reap cost about 5-9 ms on a 2-vCPU Xeon, about five chunk-times of the
+# cheapest chart (clifford-torus:1,2, 1.1-1.8 ms per 2048 nodes): there
+# the two processes lost 5-9 ms at 8 and 10 chunks and gained from
+# about 12 on, so 16 leaves a margin for the costlier fork of a larger
+# process.
+_FORK_MIN_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -105,16 +116,25 @@ class SurfaceResidual:
     max_norm: float
 
 
+def _pairwise_half(n: int) -> int:
+    """How many of n values NumPy's pairwise sum adds in its first half."""
+    return n // 2 - n // 2 % 8
+
+
 def _pairwise_sums(chunks, rows: int, total: int, block: int) -> np.ndarray:
     """``np.sum`` of each of ``rows`` rows of ``total`` values, streamed.
 
     ``chunks`` yields (rows, k) arrays, the next k values of every row.
-    ``tree`` follows NumPy's pairwise split (the first n // 2 - (n // 2) % 8
-    values, then the rest, while n > ``_PAIRWISE_LEAF``) down to leaves of
-    at most ``max(block, _PAIRWISE_LEAF)`` values, which ``np.sum`` sums
-    bit for bit, so each row's sum is ``np.sum``'s. One leaf is buffered,
-    filled from ``chunks`` when reached, plus one sum per level: at most
-    log2(total / 112) levels rounded up, 18 for ``GRID_NODE_MAX`` nodes.
+    ``tree`` follows NumPy's pairwise split (the first
+    :func:`_pairwise_half` values, then the rest, while n >
+    ``_PAIRWISE_LEAF``) down to leaves of at most ``max(block,
+    _PAIRWISE_LEAF)`` values, which ``np.sum`` sums bit for bit, so each
+    row's sum is ``np.sum``'s. The tree of n values depends on n and
+    ``block`` alone, so the two halves of a larger tree can be summed
+    apart and added, as :func:`_chunked_integral` does. One leaf is
+    buffered, filled from ``chunks`` when reached, plus one sum per
+    level: at most log2(total / 112) levels rounded up, 18 for
+    ``GRID_NODE_MAX`` nodes.
     """
     limit = max(block, _PAIRWISE_LEAF)
     buf = np.zeros((rows, min(total, limit)))
@@ -123,7 +143,7 @@ def _pairwise_sums(chunks, rows: int, total: int, block: int) -> np.ndarray:
     def tree(n):
         nonlocal rest
         if n > limit:
-            half = n // 2 - n // 2 % 8
+            half = _pairwise_half(n)
             return tree(half) + tree(n - half)
         filled = 0
         while filled < n:
@@ -140,6 +160,84 @@ def _pairwise_sums(chunks, rows: int, total: int, block: int) -> np.ndarray:
     return sums
 
 
+def _forks(total: int, block: int) -> bool:
+    """Whether :func:`_chunked_integral` walks half of ``total`` nodes in a child.
+
+    Only where the pairwise tree splits the nodes at all, the walk has
+    at least ``_FORK_MIN_CHUNKS`` chunks of ``block`` nodes, and the
+    process can fork safely and run two walks at once: Linux, a second
+    CPU in its affinity mask, and no thread but its own (BLAS pools
+    included), since a thread that holds a lock at the fork leaves it
+    held in the child.
+    """
+    if total <= max(block, _PAIRWISE_LEAF) or -(-total // block) < _FORK_MIN_CHUNKS:
+        return False
+    return sys.platform == "linux" and _cpu_count() > 1 and _thread_count() == 1
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _thread_count() -> int:
+    """OS threads of this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _forked_halves(walk, half: int, total: int, rows: int):
+    """(walk(0, half), walk(half, total)), the first one in a forked child.
+
+    The child inherits the walk and its closures, sends back the rows'
+    sums and flags as raw bytes (9 per row) on a pipe and leaves with
+    ``os._exit``. The caller walks its half meanwhile, and always reaps
+    the child, killing it first on an interrupt. If the child fails (an
+    error, a signal, a short read), its half is walked again here,
+    which raises the serial walk's own error: the first half's error
+    takes precedence over the second's, as in node order.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: both halves here
+        os.close(read_end)
+        os.close(write_end)
+        return walk(0, half), walk(half, total)
+    if not pid:  # the child: never return into the caller's stack
+        code = 1
+        try:
+            os.close(read_end)
+            sums, grazed = walk(0, half)
+            with open(write_end, "wb") as pipe:
+                pipe.write(sums.tobytes() + grazed.tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            try:
+                right = walk(half, total)
+            except Exception as exc:  # raised below, once the first half is known
+                right = exc
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) == 0 and len(data) == 9 * rows:
+        left = np.frombuffer(data, float, rows), np.frombuffer(data, bool, rows, 8 * rows)
+    else:
+        left = walk(0, half)
+    if isinstance(right, Exception):
+        try:
+            raise right
+        finally:
+            right = None  # no cycle through the traceback's frame
+    return left, right
+
+
 def _chunked_integral(
     patch: ImmersionPatch, grid: QuadratureGrid, integrand, fractions=None
 ) -> list[Optional[float]]:
@@ -153,21 +251,38 @@ def _chunked_integral(
     the chunk's weights is streamed into :func:`_pairwise_sums`, which
     gives each image the bits of ``np.sum`` over one node-sized density
     row without holding that row: one chunk's buffer, 18 levels at most.
+
+    Where :func:`_forks` allows, the nodes are cut where the pairwise
+    tree first splits them, at ``_pairwise_half(total)``: a forked child
+    walks and sums the first half while this process takes the second
+    (:func:`_forked_halves`), and the two sums are added as the tree
+    adds them, the flags or-ed, so every bit is that of the one walk
+    made otherwise. Each process holds one walk's buffers.
     """
     if not grid.matches_domain(patch.domain):
         raise ValueError("grid does not cover the patch domain")
     rows = 1 if fractions is None else len(fractions)
-    grazed = ()
+    total, block = grid.node_total, _chunk_points(patch) // rows
 
-    def density(start, stop, grazing, rho_sq, sqrt_g, _):
-        nonlocal grazed
-        grazed = grazing  # the walk's flags only ever turn on, so the last hold them all
-        return integrand(rho_sq, sqrt_g, slice(start, stop)) * grid.weights(start, stop)
+    def walk(start, stop):
+        grazed = np.zeros(rows, dtype=bool)
 
-    # starmap keeps no chunk past its density, unlike a loop variable, so
-    # a chunk's fields are freed before the next chunk is taken.
-    densities = starmap(density, _integrand_chunks(patch, grid, fractions))
-    sums = _pairwise_sums(densities, rows, grid.node_total, _chunk_points(patch) // rows)
+        def density(lo, hi, grazing, rho_sq, sqrt_g, _):
+            nonlocal grazed
+            grazed = grazing  # the walk's flags only ever turn on, so the last hold them all
+            return integrand(rho_sq, sqrt_g, slice(lo, hi)) * grid.weights(lo, hi)
+
+        # starmap keeps no chunk past its density, unlike a loop variable, so
+        # a chunk's fields are freed before the next chunk is taken.
+        densities = starmap(density, _integrand_chunks(patch, grid, fractions, start, stop))
+        return _pairwise_sums(densities, rows, stop - start, block), grazed
+
+    if _forks(total, block):
+        half = _pairwise_half(total)
+        (left, left_grazed), (right, right_grazed) = _forked_halves(walk, half, total, rows)
+        sums, grazed = left + right, left_grazed | right_grazed
+    else:
+        sums, grazed = walk(0, total)
     return [None if g else float(s) / patch.cover_multiplicity for s, g in zip(sums, grazed)]
 
 

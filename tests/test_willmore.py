@@ -266,7 +266,11 @@ def test_classifier_input_guards():
 
 
 def _traced_peaks(integral, patch, resolutions, prebuild=False):
-    """tracemalloc peak of one integral per grid resolution."""
+    """tracemalloc peak of one integral per grid resolution.
+
+    Its callers walk in one process (``one_process``): a forked child's
+    half of the walk would not be traced here.
+    """
     peaks = []
     for res in resolutions:
         grid = QuadratureGrid.for_patch(patch, res)
@@ -283,6 +287,7 @@ def _traced_peaks(integral, patch, resolutions, prebuild=False):
     return peaks
 
 
+@pytest.mark.usefixtures("one_process")
 def test_energy_memory_follows_the_chunk_not_the_grid():
     # Peak allocation during the energy grows by less than 64 bytes per
     # node (0.06 measured), not by the O(M n^2 N) jet, which is 768
@@ -292,6 +297,7 @@ def test_energy_memory_follows_the_chunk_not_the_grid():
     assert peaks[1] - peaks[0] < 4 * 16 * 24**4
 
 
+@pytest.mark.usefixtures("one_process")
 def test_energy_memory_holds_no_node_array():
     # The kernel gathers nodes and weights per chunk and the reduction
     # streams them into np.sum's pairwise tree, so with no grid array
@@ -303,6 +309,7 @@ def test_energy_memory_holds_no_node_array():
     assert peaks[1] - peaks[0] < (24**4 - 12**4) // 8
 
 
+@pytest.mark.usefixtures("one_process")
 def test_pinching_memory_holds_no_node_array():
     # As for the energy: 0.06 bytes per node measured.
     patch, _ = willmore_torus(2, 4)
@@ -357,6 +364,7 @@ def test_energy_frees_its_walk_on_return(monkeypatch):
     assert len(walks) == 1 and walks[0]() is None
 
 
+@pytest.mark.usefixtures("one_process")
 def test_energy_chunk_working_set_stays_small():
     # product-spheres:2,2,1 has the largest jet per point of the
     # benchmark charts (1600 bytes); at 512-point chunks with reused work
@@ -564,6 +572,43 @@ def test_a_map_grazing_the_pole_partway_leaves_its_group():
     assert list(_integrand_chunks(patch, grid, [])) == []  # no image, no walk
 
 
+def test_a_flagged_map_streams_zeros_without_its_kernel(monkeypatch):
+    # The map flagged in the fifth chunk (see above) takes no jets or
+    # kernel in the sixth: four maps go through the quotient rule and
+    # 4 x 259 points through the kernel, and its row reads zero there.
+    patch, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(patch, 48)
+    maps = _probed(patch, 0, [45, 0, 1, 2, 3])
+    mapped, kernel_points = [], []
+    mobius_jets, rho_sq_chunk = immersion._mobius_jets, immersion._rho_sq_chunk
+
+    def counted_jets(*args):
+        mapped.append(len(args[-1]))
+        return mobius_jets(*args)
+
+    def counted_kernel(x, *args):
+        kernel_points.append(len(x))
+        return rho_sq_chunk(x, *args)
+
+    monkeypatch.setattr(immersion, "_mobius_jets", counted_jets)
+    monkeypatch.setattr(immersion, "_rho_sq_chunk", counted_kernel)
+    walk = list(_integrand_chunks(patch, grid, [_linear_fraction(m) for m in maps]))
+    assert mapped == [5] * 5 + [4]
+    assert kernel_points == [5 * 409] * 5 + [4 * 259]
+    *_, (_, _, grazing, rho_sq, sqrt_g, coef) = walk
+    assert grazing.tolist() == [True] + [False] * 4
+    assert not rho_sq[0].any() and not sqrt_g[0].any() and len(coef) == 4 * 259
+    assert rho_sq[1:].all() and sqrt_g[1:].all()
+    assert mobius_energies(patch, grid, maps) == [_one_walk(m, patch, grid) for m in maps]
+    # Alone, the flagged map leaves no row to take: its last chunk is zeros.
+    *_, (_, _, grazing, rho_sq, sqrt_g, coef) = _integrand_chunks(
+        patch, grid, [_linear_fraction(maps[0])]
+    )
+    assert grazing.tolist() == [True] and coef is None
+    assert not rho_sq.any() and not sqrt_g.any()
+    assert mobius_energies(patch, grid, maps[:1]) == [None]
+
+
 def test_mobius_groups_split_at_the_chunk_size(monkeypatch):
     patch, _ = clifford_torus(1, 2)
     grid = QuadratureGrid.for_patch(patch, 32)
@@ -572,10 +617,10 @@ def test_mobius_groups_split_at_the_chunk_size(monkeypatch):
     monkeypatch.setattr(willmore, "_chunk_points", lambda patch: 3)
     walked = []
 
-    def walk(patch, grid, fractions=None):
+    def walk(patch, grid, fractions=None, *span):
         if fractions is not None:  # the reference walks have none
             walked.append(len(fractions))
-        return _integrand_chunks(patch, grid, fractions)
+        return _integrand_chunks(patch, grid, fractions, *span)
 
     monkeypatch.setattr(willmore, "_integrand_chunks", walk)
     assert mobius_energies(patch, grid, maps) == [_one_walk(m, patch, grid) for m in maps]
@@ -591,6 +636,7 @@ def test_mobius_energies_refuse_a_chart_without_exact_jets():
         mobius_energies(replace(patch, exact_jet=None), grid, maps)
 
 
+@pytest.mark.usefixtures("one_process")
 def test_mobius_energy_memory_does_not_follow_the_map_count():
     # Each map streams its densities into its own pairwise sum, so twelve
     # maps hold no more than two: a node-sized row per map would add
