@@ -7,10 +7,14 @@ the command list. Prints one JSON line with, per pass, its wall
 seconds, its minor page faults (the ``ru_minflt`` delta over the pass),
 ``ru_maxrss`` after it, in MiB, and each command that raised
 ``ru_maxrss`` with the rise in MiB (``maxrss_steps``), so a climb of the
-high-water mark names its command. After the timed passes one more pass
-runs under ``tracemalloc`` and records each command's traced peak in
-MiB (``traced``, ``traced_peak_mb``): what the command itself
-allocates, which ``ru_maxrss`` mixes with the heap layout it inherits.
+high-water mark names its command. The same two readings of the
+children reaped during the pass (``RUSAGE_CHILDREN``: the forked halves
+of the quadrature's walks, which ``RUSAGE_SELF`` does not see) are
+``child_minflt`` and ``child_maxrss_mb``, the largest child so far.
+After the timed passes one more pass runs under ``tracemalloc`` and
+records each command's traced peak in MiB (``traced``,
+``traced_peak_mb``): what the command itself allocates, which
+``ru_maxrss`` mixes with the heap layout it inherits.
 Pin BLAS threads as perfbench does.
 From the root of a checkout, with its ``src`` on ``PYTHONPATH``:
 
@@ -91,12 +95,16 @@ def main(argv=None) -> int:
     passes = []
     for _ in range(args.passes):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        children_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         start = time.perf_counter()
         steps = run_pass(cli.main, commands)
         seconds = time.perf_counter() - start
         usage = resource.getrusage(resource.RUSAGE_SELF)
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
         passes.append({"s": seconds, "minflt": usage.ru_minflt - before,
-                       "maxrss_mb": usage.ru_maxrss / 1024.0, "maxrss_steps": steps})
+                       "maxrss_mb": usage.ru_maxrss / 1024.0, "maxrss_steps": steps,
+                       "child_minflt": children.ru_minflt - children_before,
+                       "child_maxrss_mb": children.ru_maxrss / 1024.0})
     traced = traced_pass(cli.main, commands)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "passes": passes,
                       "traced": traced}))

@@ -21,8 +21,9 @@ both commits and the environment lines perfbench printed. Optional
 traced runs (``--traced-runs``, seeds after the untraced ones) add the
 per-layer medians of each side. ``--fault-passes N`` adds one
 ``bench/faults.py`` run of N passes per side and workload: the minor
-page faults and seconds of each pass, summarized the same way, and each
-command's traced peak from the run's final traced pass.
+page faults and seconds of each pass, and the faults and peak RSS of the
+walk children it reaped, summarized the same way, and each command's
+traced peak from the run's final traced pass.
 
 ``--cli "ARGS"`` times whole CLI runs, ``python3 -m willmorelab.cli
 ARGS`` with one BLAS thread, ``--repeats`` alternating pairs of them:
@@ -168,13 +169,16 @@ def record_workload(checkouts: dict, workload: str, seeds: list[int], seconds: i
 def record_faults(checkouts: dict, workload: str, seed: int, passes: int) -> dict:
     """One ``bench/faults.py`` run per side.
 
-    Per-pass minor faults and seconds, and each command's traced peak.
+    Per-pass minor faults, those of the reaped children and seconds, and
+    each command's traced peak.
     """
     entry = {"seed": seed, "passes": passes}
     for side in SIDES:
         report = _faults(checkouts[side], workload, seed, passes)
         runs = report["passes"]
         entry[side] = {"minflt": summary([run["minflt"] for run in runs]),
+                       "child_minflt": summary([run["child_minflt"] for run in runs]),
+                       "child_maxrss_mb": summary([run["child_maxrss_mb"] for run in runs]),
                        "s": summary([run["s"] for run in runs]), "runs": runs,
                        "traced": report["traced"]}
     return entry

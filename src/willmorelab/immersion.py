@@ -46,12 +46,16 @@ Gram-Schmidt frame, and h_ij as ambient normal vectors):
   into ``np.sum``'s pairwise tree, one per image, so their memory
   follows the chunk, not the nodes or the jets of the grid.
 
-The Laplacian's stencil, ``_grid_laplacian``, sweeps blocks of grid rows
-and owns their per-node fields: per chunk of nodes its caller's kernel
-(``_second_form`` for :func:`laplace_beltrami`, ``_surface_fields`` for
-the surface residual) returns f, sqrt g, R^{-1} and any further fields,
-using the sweep's one set of work buffers, and the sweep forms g^{-1}, so
-its temporaries follow the block and only the result is node-sized.
+The stencils' row sweep, ``_grid_sweep``, walks blocks of grid rows with
+a periodic halo and owns their per-node fields: per chunk of nodes its
+caller's kernel (``_metric_kernel``, ``_second_form`` without rho^2, for
+:func:`laplace_beltrami` and :func:`grid_gradient_pairing`;
+``_surface_fields`` for the surface residual) returns f, sqrt g, R^{-1}
+and any further fields, using the sweep's one set of work buffers, and
+the sweep forms g^{-1}. ``_grid_laplacian`` and the pairing's density
+run per block, so only their result is node-sized (for the pairing, the
+weighted density it sums: a traced peak of 2.06, 2.94 and 5.10 MiB at
+128^2, 256^2 and 512^2 nodes on the Clifford torus).
 
 Conformal images (:func:`mobius_apply`) keep exact jets whenever the
 source patch has them. A Moebius map of the sphere acts linearly on the
@@ -358,13 +362,6 @@ def _complete_normals(basis: np.ndarray, p: int) -> np.ndarray:
     return np.stack(added, axis=2)  # (M, N, p)
 
 
-def _chart_points(patch: ImmersionPatch, points, step: float) -> np.ndarray:
-    """Validated (M, n) chart points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _checked_domain(patch, pts.T, step)
-    return pts
-
-
 def _checked_domain(patch: ImmersionPatch, columns, step: float) -> None:
     """Check the coordinates of points the patch's jets will be taken at.
 
@@ -546,7 +543,8 @@ def shape_batch(patch: ImmersionPatch, points, step: float = FD_STEP) -> ShapeBa
         raise ValueError(
             f"finite-difference step {step:g} outside [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]"
         )
-    pts = _chart_points(patch, points, step)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    _checked_domain(patch, pts.T, step)
     x, first, second = _jets(patch, pts, step)
     tangent, _, sqrt_g, h = _second_form(x, first, second)
     n = patch.n
@@ -591,11 +589,13 @@ def _rho_sq_chunk(x, first, second, work):
     return np.einsum("cpj,cpj->c", h, h), sqrt_g, coef
 
 
-def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None, start=0, stop=None):
+def _integrand_chunks(patch: ImmersionPatch, grid, fractions=None, start=0, stop=None):
     """Yield (start, stop, grazing, rho^2, sqrt g, coef) per chunk, without frames.
 
-    The one grid walk of the kernel :func:`_rho_sq_chunk`, over the nodes
-    [``start``, ``stop``) (all of them by default). Without ``fractions``
+    The one grid walk of the kernel :func:`_rho_sq_chunk`, over the flat
+    node indices [``start``, ``stop``) of the :class:`QuadratureGrid`
+    ``grid`` (all of them by default), whose nodes are gathered one chunk
+    at a time and checked on its 1-d nodes. Without ``fractions``
     it walks ``patch``. With K linear fractions (:func:`_linear_fraction`)
     it walks the K images in lockstep: per chunk the source jets are
     taken once and :func:`_mobius_jets` maps them through every fraction
@@ -618,21 +618,12 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None, start=0, sto
     guards are those of :func:`shape_batch`, and a rank error names the
     node. Patches without exact jets are differenced with step
     ``FD_STEP``. The yielded arrays are the caller's.
-
-    ``nodes`` is a :class:`QuadratureGrid`, whose nodes are gathered one
-    chunk at a time (the interior check runs on its 1-d nodes), or an
-    (M, n) array of chart points, sliced the same way.
     """
     if fractions is not None and patch.exact_jet is None:
         raise ValueError("conformal images are walked together only on charts with exact jets")
-    if isinstance(nodes, QuadratureGrid):
-        _checked_domain(patch, nodes.nodes_1d, FD_STEP)
-        m, take = nodes.node_total, nodes.nodes
-    else:
-        pts = _chart_points(patch, nodes, FD_STEP)
-        m, take = len(pts), lambda start, stop: pts[start:stop]
+    _checked_domain(patch, grid.nodes_1d, FD_STEP)
     images = 1 if fractions is None else len(fractions)
-    stop = m if stop is None else stop
+    stop = grid.node_total if stop is None else stop
     if not images or start >= stop:
         return
     size = _chunk_points(patch)
@@ -646,7 +637,7 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None, start=0, sto
         if not live.size:  # every image is flagged: nothing left to take
             yield lo, hi, grazing, np.zeros((images, c)), np.zeros((images, c)), None
             continue
-        jets = _jets(patch, take(lo, hi), FD_STEP)
+        jets = _jets(patch, grid.nodes(lo, hi), FD_STEP)
         if fractions is not None:
             align, *jets = _mobius_jets(*jets, [fractions[k] for k in live])
             grazing = grazing.copy()  # a new array: the caller may keep the last one
@@ -667,23 +658,6 @@ def _integrand_chunks(patch: ImmersionPatch, nodes, fractions=None, start=0, sto
             rho_sq, sqrt_g = rows
         yield lo, hi, grazing, rho_sq, sqrt_g, coef
         del rho_sq, sqrt_g, coef
-
-
-def _integrand_fields(patch: ImmersionPatch, nodes):
-    """Per-point (rho^2, sqrt g, g^{-1}) over all of ``nodes``.
-
-    The chunks of :func:`_integrand_chunks`, written into whole arrays
-    for :func:`grid_gradient_pairing` alone: one scalar pair and one
-    n x n matrix per point, allocated once, so no chunk is held twice.
-    """
-    m = nodes.node_total if isinstance(nodes, QuadratureGrid) else len(np.atleast_2d(nodes))
-    n = patch.n
-    rho_sq, sqrt_g, ginv = np.empty(m), np.empty(m), np.empty((m, n, n))
-    for start, stop, _, r, s, coef in _integrand_chunks(patch, nodes):
-        rho_sq[start:stop] = r[0]
-        sqrt_g[start:stop] = s[0]
-        np.matmul(coef.transpose(0, 2, 1), coef, out=ginv[start:stop])
-    return rho_sq, sqrt_g, ginv
 
 
 def shape_data(patch: ImmersionPatch, u, step: float = FD_STEP) -> ShapeData:
@@ -738,30 +712,24 @@ def _block_partial(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return _periodic_partial(values[1:-1], axis, h)
 
 
-def _grid_laplacian(patch: ImmersionPatch, grid: QuadratureGrid, kernel):
-    """Laplace-Beltrami of a grid function, swept over blocks of grid rows.
+def _grid_sweep(patch: ImmersionPatch, grid: QuadratureGrid, kernel):
+    """Blocks of grid rows with the per-node fields of a stencil, halo included.
 
-    The one owner of the stencil's per-node fields. ``kernel(nodes, work)``
+    The one owner of the stencils' per-node fields. ``kernel(nodes, work)``
     returns f, sqrt g and coef (R^{-1} of :func:`_second_form`, trailing
     n x n), then any further fields, on a slice of at most
     ``_chunk_points(patch)`` flat node indices, using the sweep's one set
     of :func:`_work_buffers`. The sweep forms g^{-1} = coef^T coef and
-    makes a rank error name the node's flat index in the grid. sqrt g
-    takes the fold sign of the patch, so on a doubled chart the flux
-    stays smooth across the fold instead of following the kink of |sqrt g|.
+    makes a rank error name the node's flat index in the grid.
 
-    Yields (start, stop, lap, fields) per block of about
-    ``_chunk_points(patch)`` nodes and at least ``_BLOCK_ROWS_MIN`` rows:
-    the Laplacian on grid rows start..stop-1 and f, sqrt g, g^{-1} and
-    the further fields there, each shaped (stop - start,) + grid.shape[1:]
-    + its own trailing axes. A block reads f with a two-row periodic halo
-    and the metric with a one-row halo, and runs the elementwise
-    operations of the whole-array stencil in their order, so it gives the
-    same bits while every array it holds follows the block. A block keeps
-    the four rows it shares with the one before it, so the kernel sees
-    every row once, apart from the four rows where the sweep wraps around.
+    Yields (start, stop, window) per block of about ``_chunk_points(patch)``
+    nodes and at least ``_BLOCK_ROWS_MIN`` rows: f, sqrt g, g^{-1} and the
+    further fields on grid rows start-2..stop+1 modulo the row count, each
+    shaped (stop - start + 4,) + grid.shape[1:] + its own trailing axes;
+    the caller only reads them. A block keeps the four rows it shares with
+    the one before it, so the kernel sees every row once, apart from the
+    four rows where the sweep wraps around.
     """
-    n = grid.ndim
     count = grid.counts[0]
     row = grid.node_total // count
     size = _chunk_points(patch)
@@ -783,19 +751,33 @@ def _grid_laplacian(patch: ImmersionPatch, grid: QuadratureGrid, kernel):
                 whole[piece] = a
         return [a.reshape((stop - start,) + grid.shape[1:] + a.shape[1:]) for a in fields]
 
-    spacings = [grid.spacing(a) for a in range(n)]
     block = max(_BLOCK_ROWS_MIN, size * count // grid.node_total)
     window = []
     for start in range(0, count, block):
         stop = min(start + block, count)
-        # The window holds rows start-2..stop+1 modulo count; new rows are
-        # asked for in runs that do not wrap.
+        # New rows are asked for in runs that do not wrap.
         rows = np.arange(start + 2 if window else start - 2, stop + 2) % count
         runs = np.split(rows, np.flatnonzero(np.diff(rows) < 0) + 1)
         pieces = [[field[-4:] for field in window]] if window else []
         pieces += [fields_of(run[0], run[-1] + 1) for run in runs]
         window = [np.concatenate(field) for field in zip(*pieces)]
         del pieces
+        yield start, stop, window
+
+
+def _grid_laplacian(patch: ImmersionPatch, grid: QuadratureGrid, kernel):
+    """Yield (start, stop, lap, fields) per block of :func:`_grid_sweep` with ``kernel``.
+
+    The Laplacian on grid rows start..stop-1, with f, sqrt g, g^{-1} and
+    the further fields there. f is read with its two-row halo and the
+    metric with one, in the operations of the whole-array stencil in
+    their order, so the bits are the same. sqrt g takes the patch's fold
+    sign, so on a doubled chart the flux stays smooth across the fold.
+    """
+    n = grid.ndim
+    count = grid.counts[0]
+    spacings = [grid.spacing(a) for a in range(n)]
+    for start, stop, window in _grid_sweep(patch, grid, kernel):
         values, sg, ginv = window[0], window[1][1:-1], window[2][1:-1]
         if patch.fold_axes:
             inner = np.arange(start - 1, stop + 1) % count
@@ -817,6 +799,22 @@ def _grid_laplacian(patch: ImmersionPatch, grid: QuadratureGrid, kernel):
         del fluxes
         div /= sg[1:-1]
         yield start, stop, div, [field[2:-2] for field in window]
+
+
+def _metric_kernel(patch: ImmersionPatch, grid: QuadratureGrid, *functions):
+    """The sweep's kernel for grid functions: :func:`_second_form`, no rho^2.
+
+    On each slice of nodes it returns the first function there, sqrt g
+    and coef from the nodes' jets, then the other functions there.
+    """
+    flats = [fn.reshape(-1) for fn in functions]
+
+    def kernel(nodes, work):
+        jets = _jets(patch, grid.nodes(nodes.start, nodes.stop), FD_STEP)
+        _, coef, sqrt_g, _ = _second_form(*jets, work)
+        return flats[0][nodes], sqrt_g, coef, *(flat[nodes] for flat in flats[1:])
+
+    return kernel
 
 
 def _require_periodic_grid(patch: ImmersionPatch, grid: QuadratureGrid) -> None:
@@ -844,23 +842,15 @@ def laplace_beltrami(patch: ImmersionPatch, f: np.ndarray, grid: QuadratureGrid)
     O(h^2); on ``round_sphere(2, 1, 0.8)`` with f = x_0 the gap is
     0.076, 0.019 and 0.0048 at 32, 64 and 128 nodes per axis.
 
-    Its stencil's kernel is :func:`_second_form` on each chunk's jets,
-    with no rho^2 reduced, so only the result is node-sized; a rank
-    error names the node's flat index in the grid.
+    The stencil's kernel is :func:`_metric_kernel`, so only the result is
+    node-sized; a rank error names the node's flat index in the grid.
     """
     values = np.asarray(f, dtype=float)
     _require_periodic_grid(patch, grid)
     if values.shape != grid.shape:
         raise ValueError(f"grid function has shape {values.shape}, expected {grid.shape}")
-    flat = values.reshape(-1)
-
-    def kernel(nodes, work):
-        jets = _jets(patch, grid.nodes(nodes.start, nodes.stop), FD_STEP)
-        _, coef, sqrt_g, _ = _second_form(*jets, work)
-        return flat[nodes], sqrt_g, coef
-
     out = np.empty(grid.shape)
-    for start, stop, lap, _ in _grid_laplacian(patch, grid, kernel):
+    for start, stop, lap, _ in _grid_laplacian(patch, grid, _metric_kernel(patch, grid, values)):
         out[start:stop] = lap
     return out
 
@@ -874,24 +864,31 @@ def grid_gradient_pairing(
     the Dirichlet pairing of the underlying submanifold. There discrete
     integration by parts against :func:`laplace_beltrami`, which uses
     the fold-signed sqrt g, holds only to O(h^2).
+
+    The metric comes from the blocks of :func:`_grid_sweep`, with the
+    kernel of :func:`laplace_beltrami` and g as one more field; only the
+    weighted density, summed by one ``np.sum``, is node-sized.
     """
     fv = np.asarray(f, dtype=float)
     gv = np.asarray(g, dtype=float)
     _require_periodic_grid(patch, grid)
     if fv.shape != grid.shape or gv.shape != grid.shape:
         raise ValueError("grid functions must match the grid shape")
-    _, sqrt_g, ginv = _integrand_fields(patch, grid)
-    ginv = ginv.reshape(grid.shape + (grid.ndim, grid.ndim))
-    sg = sqrt_g.reshape(grid.shape)
-    spacings = [grid.spacing(a) for a in range(grid.ndim)]
-    df = [_periodic_partial(fv, a, spacings[a]) for a in range(grid.ndim)]
-    dg = [_periodic_partial(gv, a, spacings[a]) for a in range(grid.ndim)]
-    density = np.zeros_like(fv)
-    for a in range(grid.ndim):
-        for b in range(grid.ndim):
-            density = density + ginv[..., a, b] * df[a] * dg[b]
+    n = grid.ndim
+    spacings = [grid.spacing(a) for a in range(n)]
+    kernel = _metric_kernel(patch, grid, fv, gv)
+    weighted = np.empty(grid.shape)
+    for start, stop, (fw, sg, ginv, gw) in _grid_sweep(patch, grid, kernel):
+        # f and g with a one-row halo, the metric on the block's rows.
+        df = [_block_partial(fw[1:-1], a, spacings[a]) for a in range(n)]
+        dg = [_block_partial(gw[1:-1], a, spacings[a]) for a in range(n)]
+        density = np.zeros_like(df[0])
+        for a in range(n):
+            for b in range(n):
+                density = density + ginv[2:-2, ..., a, b] * df[a] * dg[b]
+        np.multiply(density, sg[2:-2], out=weighted[start:stop])
     cell = float(np.prod(spacings))
-    return float(np.sum(density * sg) * cell) / patch.cover_multiplicity
+    return float(np.sum(weighted) * cell) / patch.cover_multiplicity
 
 
 @dataclass(frozen=True)

@@ -441,7 +441,7 @@ def el_residual_isoparametric(spec: IsoparametricSpec) -> ELResidual:
 def _surface_fields(patch: ImmersionPatch, pts: np.ndarray, work):
     """Signed H, sqrt g, coef and S of a surface in S^3 at chart points.
 
-    In the order ``_grid_laplacian`` asks of its kernel. The frame-free
+    In the order ``_grid_sweep`` asks of its kernel. The frame-free
     :func:`_second_form` (into ``work``) gives h as ambient normal
     vectors in a Gram-Schmidt tangent frame, so
     S = sum_ab |h_ab|^2 and the mean curvature vector is trace(h) / 2;
@@ -465,7 +465,7 @@ def el_residual_surface(patch: ImmersionPatch, grid: QuadratureGrid) -> SurfaceR
     Needs n = 2 and codimension 1 (so the normal Laplacian collapses to
     the scalar Laplace-Beltrami of the signed mean curvature) and a
     fully periodic chart for the discrete Laplacian. The stencil's
-    kernel is :func:`_surface_fields` on the nodes ``_grid_laplacian``
+    kernel is :func:`_surface_fields` on the nodes the row sweep
     asks for, sliced from ``grid.points()``; no frame beyond the kernel's
     is built and no metric is inverted. H (S - 2 H^2) is added per block,
     so the fields follow the block and only the result is node-sized.

@@ -1,9 +1,13 @@
 import importlib.util
 import json
+import os
+import resource
+import struct
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "faults.py"
 _SPEC = importlib.util.spec_from_file_location("bench_faults", _PATH)
@@ -63,3 +67,49 @@ def test_traced_pass_reports_the_traced_peak_of_each_command():
     assert 3.0 <= peaks[0]["traced_peak_mb"] < 3.1
     assert 2**16 / 2**20 <= peaks[1]["traced_peak_mb"] < 0.1
     assert not tracemalloc.is_tracing()
+
+
+def test_main_counts_the_faults_of_the_children_a_pass_reaps(monkeypatch, capsys):
+    # The fake command forks a child that touches 8 MiB, page by page, and
+    # reaps it, as a forked walk does. The child sends its own fault count
+    # back; RUSAGE_SELF does not see those faults, the pass must.
+    touched, pids, counts = 8 * 2**20, [], []
+
+    def forking_main(argv):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: no way back into the test
+            code = 1
+            try:
+                os.close(read)
+                buf = bytearray(touched)
+                buf[::4096] = b"\1" * len(range(0, touched, 4096))
+                own = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                os.write(write, struct.pack("q", own))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        pids.append(pid)
+        counts.append(struct.unpack("q", data)[0])
+
+    monkeypatch.setitem(faults.WORKLOADS, "forking", lambda seed: [["fork"]])
+    monkeypatch.setattr(faults, "warmup", lambda commands: [])
+    monkeypatch.setattr(faults, "traced_pass", lambda main, commands: [])
+    from willmorelab import cli
+
+    monkeypatch.setattr(cli, "main", forking_main)
+    assert faults.main(["--workload", "forking", "--seed", "1", "--passes", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(pids) == 2
+    for run, count in zip(report["passes"], counts):
+        # Every fault the child counted, its touched pages among them.
+        assert run["child_minflt"] >= count > 0
+        assert run["child_maxrss_mb"] >= touched / 2**20
+    for pid in pids:  # every child was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

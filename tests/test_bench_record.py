@@ -88,7 +88,8 @@ def test_record_faults_runs_each_side_once(monkeypatch):
     def fake_faults(checkout, workload, seed, passes):
         calls.append((checkout.name, workload, seed, passes))
         faults = 0 if checkout.name == "parent" else 4000
-        runs = [{"s": 2.0 + i / 100, "minflt": faults + i, "maxrss_mb": 40.0}
+        runs = [{"s": 2.0 + i / 100, "minflt": faults + i, "maxrss_mb": 40.0,
+                 "child_minflt": faults // 2 + i, "child_maxrss_mb": 30.0 + i}
                 for i in range(passes)]
         traced = [{"command": "catalog", "traced_peak_mb": 0.5 + faults / 1000}]
         return {"workload": workload, "seed": seed, "passes": runs, "traced": traced}
@@ -100,6 +101,8 @@ def test_record_faults_runs_each_side_once(monkeypatch):
     assert entry["seed"] == 1 and entry["passes"] == 3
     assert entry["parent"]["minflt"]["median"] == 1
     assert entry["change"]["minflt"]["median"] == 4001
+    assert entry["change"]["child_minflt"]["median"] == 2001
+    assert entry["parent"]["child_maxrss_mb"]["median"] == 31.0
     assert len(entry["change"]["runs"]) == 3
     assert entry["parent"]["traced"] == [{"command": "catalog", "traced_peak_mb": 0.5}]
     assert entry["change"]["traced"] == [{"command": "catalog", "traced_peak_mb": 4.5}]

@@ -19,6 +19,7 @@ from willmorelab.grids import AxisInterval, QuadratureGrid
 from willmorelab.immersion import (
     _BLOCK_ROWS_MIN,
     _CHUNK_MAX,
+    FD_STEP,
     RANK_TOL,
     ImmersionPatch,
     MobiusMap,
@@ -26,16 +27,17 @@ from willmorelab.immersion import (
     PoleError,
     RankError,
     ShapeBatch,
-    _chart_points,
     _complete_normals,
     _fd_jets,
     _chunk_points,
     _fold_sign,
-    _integrand_fields,
+    _integrand_chunks,
     _jets,
     _linear_fraction,
     _mobius_jets,
     _periodic_partial,
+    _rho_sq_chunk,
+    _second_form,
     _work_buffers,
     grid_gradient_pairing,
     laplace_beltrami,
@@ -293,10 +295,27 @@ def test_discrete_integration_by_parts_is_exact():
     assert abs(pairing - grid_gradient_pairing(patch, g, f, grid)) < 1e-12
 
 
+def _node_metric(patch, grid):
+    """sqrt g (M,) and g^{-1} (M, n, n) at every node at once.
+
+    From :func:`_second_form` on the jets of the grid's nodes, in chunks
+    from the first node, not over the stencil's rows.
+    """
+    pts = grid.points()
+    size = _chunk_points(patch)
+    work = _work_buffers(size, patch.n, patch.ambient_dim)
+    sqrt_g, ginv = [], []
+    for start in range(0, len(pts), size):
+        _, coef, s, _ = _second_form(*_jets(patch, pts[start:start + size], FD_STEP), work)
+        sqrt_g.append(s)
+        ginv.append(coef.transpose(0, 2, 1) @ coef)
+    return np.concatenate(sqrt_g), np.concatenate(ginv)
+
+
 def _fold_signed_sums(patch, f, lap, grid):
     # Sum (Delta f) f sigma sqrt g w and sum |grad f|^2 sigma sqrt g w,
     # with sigma the fold sign that laplace_beltrami puts on sqrt g.
-    _, sqrt_g, ginv = _integrand_fields(patch, grid.points())
+    sqrt_g, ginv = _node_metric(patch, grid)
     sg = sqrt_g.reshape(grid.shape) * _fold_sign(patch, np.ix_(*grid.nodes_1d))
     ginv = ginv.reshape(grid.shape + (2, 2))
     spacings = [grid.spacing(a) for a in range(2)]
@@ -393,7 +412,7 @@ def _frame_surface_residual(patch, grid):
 
 
 def _assert_block_layout(patch, grid, layout):
-    # The rows per block of the stencil, as _grid_laplacian sizes them.
+    # The rows per block of the stencil, as _grid_sweep sizes them.
     count = grid.counts[0]
     block = max(_BLOCK_ROWS_MIN, _chunk_points(patch) * count // grid.node_total)
     if layout == "wraps":  # one block, whose halo wraps onto the block itself
@@ -422,10 +441,49 @@ def test_laplace_beltrami_equals_the_whole_array_stencil_bit_for_bit(ident, res,
     _assert_block_layout(patch, grid, layout)
     pts = grid.points()
     f = (np.sin(pts[:, 0] + 0.3) * (1.0 + 0.5 * np.cos(2.0 * pts[:, -1]))).reshape(grid.shape)
-    _, sqrt_g, ginv = _integrand_fields(patch, grid)
+    sqrt_g, ginv = _node_metric(patch, grid)
     want = _reference_grid_laplacian(patch, f, ginv, sqrt_g, grid)
     got = laplace_beltrami(patch, f, grid)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _reference_grid_pairing(patch, f, g, grid):
+    """The whole-array Dirichlet pairing, kept as the bit-for-bit reference.
+
+    Every node's metric at once, node-sized rolls and partials, and one
+    ``np.sum`` of the density times |sqrt g|.
+    """
+    n = grid.ndim
+    sqrt_g, ginv = _node_metric(patch, grid)
+    ginv = ginv.reshape(grid.shape + (n, n))
+    sg = sqrt_g.reshape(grid.shape)
+    spacings = [grid.spacing(a) for a in range(n)]
+    df = [_periodic_partial(f, a, spacings[a]) for a in range(n)]
+    dg = [_periodic_partial(g, a, spacings[a]) for a in range(n)]
+    density = np.zeros_like(f)
+    for a in range(n):
+        for b in range(n):
+            density = density + ginv[..., a, b] * df[a] * dg[b]
+    cell = float(np.prod(spacings))
+    return float(np.sum(density * sg) * cell) / patch.cover_multiplicity
+
+
+@pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES + [
+    ("product-spheres:1,1,1", 24, "ragged"),
+    ("product-spheres:1,1,1", (8, 10, 12), "wraps"),
+])
+def test_gradient_pairing_equals_the_whole_array_pairing_bit_for_bit(ident, res, layout):
+    # Off-diagonal pairings of orthogonal functions read at roundoff,
+    # where any change in the order of operations shows.
+    patch = resolve(ident).patch
+    grid = QuadratureGrid.for_patch(patch, res)
+    _assert_block_layout(patch, grid, layout)
+    pts = grid.points()
+    f = (np.sin(pts[:, 0] + 0.3) * (1.0 + 0.5 * np.cos(2.0 * pts[:, -1]))).reshape(grid.shape)
+    g = (np.cos(pts[:, -1]) * np.sin(2.0 * pts[:, 0] + 0.1)).reshape(grid.shape)
+    for a, b in ((f, g), (f, f), (g, f)):
+        got = grid_gradient_pairing(patch, a, b, grid)
+        assert got == _reference_grid_pairing(patch, a, b, grid)
 
 
 @pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
@@ -441,10 +499,13 @@ def test_surface_residual_equals_the_whole_array_stencil_bit_for_bit(ident, res,
 
 def _run_blocked(operator, patch, grid):
     """One sweep of the row-blocked stencil by the named operator."""
+    f = np.sin(grid.points()[:, 0]).reshape(grid.shape)
     if operator == "surface":
         el_residual_surface(patch, grid)
+    elif operator == "pairing":
+        grid_gradient_pairing(patch, f, np.cos(grid.points()[:, -1]).reshape(grid.shape), grid)
     else:
-        laplace_beltrami(patch, np.sin(grid.points()[:, 0]).reshape(grid.shape), grid)
+        laplace_beltrami(patch, f, grid)
 
 
 def _counted(monkeypatch, module, name, size=lambda *args: 1):
@@ -459,10 +520,10 @@ def _counted(monkeypatch, module, name, size=lambda *args: 1):
     return calls
 
 
-@pytest.mark.parametrize("operator", ["laplace", "surface"])
+@pytest.mark.parametrize("operator", ["laplace", "pairing", "surface"])
 @pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
 def test_each_sweep_builds_one_set_of_work_buffers(monkeypatch, operator, ident, res, layout):
-    # _grid_laplacian holds one set for every chunk of every block; a
+    # _grid_sweep holds one set for every chunk of every block; a
     # kernel that left _second_form to allocate its own would count too.
     patch = resolve(ident).patch
     grid = QuadratureGrid.for_patch(patch, res)
@@ -471,7 +532,7 @@ def test_each_sweep_builds_one_set_of_work_buffers(monkeypatch, operator, ident,
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("operator", ["laplace", "surface"])
+@pytest.mark.parametrize("operator", ["laplace", "pairing", "surface"])
 @pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
 def test_the_stencil_reduces_no_rho_sq(monkeypatch, operator, ident, res, layout):
     # The kernels stop at _second_form's h: rho^2 has no use in the stencil.
@@ -482,7 +543,7 @@ def test_the_stencil_reduces_no_rho_sq(monkeypatch, operator, ident, res, layout
     assert reduced == []
 
 
-@pytest.mark.parametrize("operator", ["laplace", "surface"])
+@pytest.mark.parametrize("operator", ["laplace", "pairing", "surface"])
 @pytest.mark.parametrize("ident, res, layout", _BLOCKED_CASES)
 def test_the_kernel_sees_every_row_once_apart_from_the_wrapped_rows(
     monkeypatch, operator, ident, res, layout
@@ -554,7 +615,31 @@ def test_laplace_beltrami_memory_follows_the_block_not_the_grid():
     assert peaks[1] - peaks[0] < 3 * 8 * (256**2 - 128**2)
 
 
-def test_laplace_beltrami_reports_the_global_point_index():
+def test_gradient_pairing_memory_follows_the_block_not_the_grid():
+    # The pairing holds one node-sized array, the weighted density it
+    # sums, and the sweep's blocks: a traced peak of 2.06, 2.94 and 5.10
+    # MiB at 128^2, 256^2 and 512^2, 1.0 double per node more from 256^2
+    # to 512^2. Gathering rho^2, sqrt g and g^{-1} for every node and a
+    # whole-array density measured 2.56, 6.01 and 24.01 MiB, 12 doubles
+    # per node.
+    patch = _flat_patch()
+    peaks = []
+    for res in (256, 512):
+        grid = QuadratureGrid.for_patch(patch, res)
+        pts = grid.points()
+        f, g = np.sin(pts[:, 0]).reshape(grid.shape), np.cos(pts[:, 1]).reshape(grid.shape)
+        tracemalloc.start()
+        try:
+            grid_gradient_pairing(patch, f, g, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 8 * (512**2 - 256**2)
+    assert peaks[1] < 6 * 2**20
+
+
+@pytest.mark.parametrize("operator", ["laplace", "pairing"])
+def test_the_sweep_reports_the_global_point_index(operator):
     # A node in the second block of rows, and a node in the last grid
     # row, which the first block reads as its halo.
     patch, _ = clifford_torus(1, 2)
@@ -569,7 +654,7 @@ def test_laplace_beltrami_reports_the_global_point_index():
             return x, first, second
 
         with pytest.raises(RankError, match=f"rank deficient at point index {bad} "):
-            laplace_beltrami(replace(patch, exact_jet=poisoned), f, grid)
+            _run_blocked(operator, replace(patch, exact_jet=poisoned), grid)
 
 
 def test_mobius_identity_map_is_exact():
@@ -767,7 +852,7 @@ def _reference_shape_batch(patch, points, step=1e-4):
     normal components of x_ij, then symmetrized. The unit-sphere guard
     is left to the pipeline under test.
     """
-    pts = _chart_points(patch, points, step)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     x, first, second = _jets(patch, pts, step)
     jac = first.transpose(0, 2, 1)
     q, r = np.linalg.qr(jac)
@@ -810,8 +895,13 @@ def _reference_shape_batch(patch, points, step=1e-4):
     )
 
 
-def _assert_fields_match(patch, pts):
-    rho_sq, sqrt_g, ginv = _integrand_fields(patch, pts)
+def _assert_fields_match(patch, pts, fields=None):
+    # The integrand kernel's fields, by default _rho_sq_chunk on the jets
+    # at pts, against the QR pipeline.
+    if fields is None:
+        fields = _rho_sq_chunk(*_jets(patch, pts, FD_STEP), None)
+    rho_sq, sqrt_g, coef = fields
+    ginv = coef.transpose(0, 2, 1) @ coef
     ref = _reference_shape_batch(patch, pts)
     for got, want in (
         (rho_sq, ref.rho_sq),
@@ -919,11 +1009,25 @@ def test_shape_data_stays_exact_on_a_skewed_chart(delta):
         assert sd.mean_norm <= 1e-13
 
 
+def _first_nodes_walk(patch, count):
+    """The grid walk over the first ``count`` nodes of a grid with more.
+
+    Returns the walk's (start, stop) spans, those nodes, and rho^2, sqrt g
+    and coef over them.
+    """
+    grid = QuadratureGrid.for_patch(patch, 2 + int(count ** (1 / patch.n)))
+    walk = list(_integrand_chunks(patch, grid, stop=count))
+    rho_sq, sqrt_g = (np.concatenate([piece[i][0] for piece in walk]) for i in (3, 4))
+    coef = np.concatenate([piece[5] for piece in walk])
+    return [piece[:2] for piece in walk], grid.points()[:count], (rho_sq, sqrt_g, coef)
+
+
 @pytest.mark.parametrize("count", [1, _CHUNK_MAX - 1, _CHUNK_MAX, 2 * _CHUNK_MAX + 5])
 def test_integrand_kernel_across_chunk_boundaries(count):
     patch, _ = willmore_torus(1, 3)
-    pts = sample_safe_points(patch, np.random.default_rng(count), count)
-    _assert_fields_match(patch, pts)
+    spans, pts, fields = _first_nodes_walk(patch, count)
+    assert len(spans) == -(-count // _chunk_points(patch)) and spans[-1][1] == count
+    _assert_fields_match(patch, pts, fields)
 
 
 def test_chunks_are_sized_by_the_bytes_of_the_second_jet():
@@ -947,33 +1051,37 @@ def test_chunks_are_sized_by_the_bytes_of_the_second_jet():
 )
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 def test_integrand_kernel_across_byte_sized_chunk_boundaries(ident, shift):
-    # One point short of, exactly at, and one past the chunk of an n = 2,
-    # 4 and 5 chart.
+    # A walk of a grid's first nodes that ends one node short of, exactly
+    # at, and one past the chunk of an n = 2, 4 and 5 chart.
     patch = resolve(ident).patch
-    count = _chunk_points(patch) + shift
-    _assert_fields_match(patch, sample_safe_points(patch, np.random.default_rng(count), count))
+    chunk = _chunk_points(patch)
+    spans, pts, fields = _first_nodes_walk(patch, chunk + shift)
+    assert spans == [(0, min(chunk, chunk + shift))] + [(chunk, chunk + shift)] * (shift > 0)
+    _assert_fields_match(patch, pts, fields)
 
 
 def test_integrand_kernel_reports_the_global_point_index():
+    # An odd count on the fold axis of the doubled chart puts grid row 32
+    # of 65 on the fold, past the walk's first chunk.
     sphere = round_sphere(2, 1, 0.7)
-    chunk = _chunk_points(sphere)
-    pts = sample_safe_points(sphere, np.random.default_rng(8), chunk + 10)
-    pts[chunk + 3] = (math.pi, 1.0)  # on the fold of the doubled chart
-    with pytest.raises(ValueError, match=f"rank deficient at point index {chunk + 3} "):
-        _integrand_fields(sphere, pts)
+    grid = QuadratureGrid.for_axes(sphere.domain, (65, 70))
+    bad = 32 * 70
+    assert abs(grid.nodes_1d[0][32] - math.pi) < 1e-15 and bad > _chunk_points(sphere)
+    with pytest.raises(ValueError, match=f"rank deficient at point index {bad} "):
+        list(_integrand_chunks(sphere, grid))
     # A non-finite differential is not cleared either.
     base, _ = clifford_torus(1, 2)
+    grid = QuadratureGrid.for_patch(base, 64)
 
     def poisoned(t):
         x, first, second = base.exact_jet(t)
-        first[t[:, 0] == 0.5] = np.nan
+        first[t[:, 0] == grid.nodes_1d[0][40]] = np.nan
         return x, first, second
 
-    chunk = _chunk_points(base)
-    pts = sample_safe_points(base, np.random.default_rng(9), chunk + 10)
-    pts[chunk + 4, 0] = 0.5
-    with pytest.raises(ValueError, match=f"point index {chunk + 4} .*nan"):
-        _integrand_fields(replace(base, exact_jet=poisoned), pts)
+    bad = 40 * 64
+    assert bad > _chunk_points(base)
+    with pytest.raises(ValueError, match=f"point index {bad} .*nan"):
+        list(_integrand_chunks(replace(base, exact_jet=poisoned), grid))
 
 
 def test_energy_keeps_the_shape_guards():
